@@ -62,7 +62,6 @@ int RunMicroFigure(const char* bench_name, const char* figure_name, bool pti, in
           cfg.iterations = kIterations;
           cfg.seed = 1000 + static_cast<uint64_t>(run);
           cfg.backend = backend;
-          cfg.sim_threads = report.sim_threads();
           jobs.emplace_back([cfg] { return RunMadviseMicrobench(cfg); });
         }
       }

@@ -42,7 +42,7 @@ std::vector<FlushBackendKind> ParseBackends(const std::string& raw, const std::s
   std::fprintf(stderr,
                "%s: unknown --backend value '%s'\n"
                "usage: %s [--backend {ipi,queue,both}] [--json PATH] [--threads N]"
-               " [--sim-threads N] [--quick] [--check]\n",
+               " [--quick] [--check]\n",
                bench.c_str(), raw.c_str(), bench.c_str());
   std::exit(2);
 }
@@ -78,11 +78,6 @@ BenchReport::BenchReport(const char* name, int argc, char** argv)
       ++i;
     } else if (arg.rfind("--threads=", 0) == 0) {
       threads_ = ParseThreads(arg.substr(10));
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      sim_threads_ = ParseThreads(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      sim_threads_ = ParseThreads(arg.substr(14));
     } else if (arg == "--quick") {
       quick_ = true;
     } else if (arg == "--check") {
@@ -125,16 +120,6 @@ void BenchReport::Snapshot(System& system, const char* key) {
 void BenchReport::Set(const char* key, Json value) { root_[key] = std::move(value); }
 
 int BenchReport::Finish(int rc) {
-  if (sim_threads_ > 1) {
-    // Host-execution knob, not a simulation quantity: recorded only under
-    // the stripped "host" section (and only when non-default) so the
-    // deterministic document stays byte-identical at every --sim-threads.
-    Json& host = root_["host"];
-    if (host.type() != Json::Type::kObject) {
-      host = Json::Object();
-    }
-    host["sim_threads"] = sim_threads_;
-  }
   if (check_) {
     root_["tlbcheck"] = GlobalTlbCheckReport();
     uint64_t violations = GlobalTlbCheckViolationCount();

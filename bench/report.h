@@ -78,13 +78,6 @@ class BenchReport {
   // fast local iteration.
   bool quick() const { return quick_; }
 
-  // Event-engine shards to run on host threads, via --sim-threads N (default
-  // 1: the serial engine). Benches feed this into MachineConfig::sim_threads.
-  // The simulated timeline is bit-identical at any value — the flag only
-  // changes host execution — so 1 and N>1 runs emit identical deterministic
-  // sections; Finish() records values > 1 under the stripped "host" key.
-  int sim_threads() const { return sim_threads_; }
-
   // True when --check was passed (tlbcheck enabled for every System).
   bool check() const { return check_; }
 
@@ -115,7 +108,6 @@ class BenchReport {
   std::string name_;
   std::string path_;  // empty: reporting disabled
   int threads_;
-  int sim_threads_ = 1;
   bool quick_ = false;
   bool check_ = false;
   std::vector<FlushBackendKind> backends_;

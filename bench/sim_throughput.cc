@@ -9,9 +9,7 @@
 //   2. coro_storm      — awaited Co<> chains under a root SimTask
 //                        (coroutine frames/sec, allocations per frame);
 //   3. shootdown_storm — the Fig.5 madvise microbenchmark (wall-clock ns per
-//                        simulated shootdown), at --sim-threads 1 and 2 (the
-//                        sharded engine config must not tax the serial
-//                        protocol path);
+//                        simulated shootdown);
 //   4. shard_sweep     — the cross-socket shard storm on the 8-socket
 //                        224-cpu preset at 1/2/4/8 event shards: aggregate
 //                        events/s, cross-shard messages per event, horizon-
@@ -24,7 +22,8 @@
 //                        (MachineConfig::shard_protocol): events/s per
 //                        point, in-binary equality of every sharded point
 //                        against the serial replay AND against true serial
-//                        (the ipi protocol replays bit-exactly), and the
+//                        (the ipi protocol replays bit-exactly), the same
+//                        window count at every host-thread count, and the
 //                        >=2x-at-8-shards speedup gate on hosts with enough
 //                        cores to express it (>= 4; CI runs it on a
 //                        multi-core runner).
@@ -302,18 +301,6 @@ int Main(int argc, char** argv) {
   auto t1 = Clock::now();
   double storm_seconds = Seconds(t0, t1);
 
-  // Same storm with the sharded engine configured (--sim-threads 2 on the
-  // 2-socket machine). The protocol runs on the serial timeline, so the
-  // simulated result is identical; the delta is the sharded config's residual
-  // cost on a protocol-only workload, which must stay noise-level.
-  MicroConfig mc2 = mc;
-  mc2.sim_threads = 2;
-  RunMadviseMicrobench(mc2);  // warmup (thread pool spin-up)
-  auto t2 = Clock::now();
-  MicroResult micro2 = RunMadviseMicrobench(mc2);
-  auto t3 = Clock::now();
-  double storm2_seconds = Seconds(t2, t3);
-
   // Phase 4: shard scaling. --quick shrinks the storm for local iteration.
   const uint64_t storm_events_per_cpu = report.quick() ? 1000 : 4000;
   const Cycles lookahead = CostModel{}.CrossShardLookahead();
@@ -333,24 +320,10 @@ int Main(int argc, char** argv) {
               events_per_sec / 1e6, plain.allocs_per_event);
   std::printf("  coroutine storm: %.2fM frames/s, %.4f allocs/frame (steady state)\n",
               frames_per_sec / 1e6, coro.allocs_per_frame);
-  double ns_per_shootdown2 =
-      micro2.shootdowns > 0 ? storm2_seconds * 1e9 / static_cast<double>(micro2.shootdowns) : 0;
-  std::printf("  shootdown storm: %lu shootdowns, %.0f ns/shootdown"
-              " (%.0f ns at --sim-threads 2)\n",
-              static_cast<unsigned long>(micro.shootdowns), ns_per_shootdown,
-              ns_per_shootdown2);
+  std::printf("  shootdown storm: %lu shootdowns, %.0f ns/shootdown\n",
+              static_cast<unsigned long>(micro.shootdowns), ns_per_shootdown);
 
   int rc = 0;
-
-  // The --sim-threads axis must not perturb the simulation itself.
-  if (micro2.shootdowns != micro.shootdowns || micro2.early_acks != micro.early_acks) {
-    std::fprintf(stderr,
-                 "sim_throughput: --sim-threads 2 changed the madvise storm "
-                 "(shootdowns %lu vs %lu)\n",
-                 static_cast<unsigned long>(micro2.shootdowns),
-                 static_cast<unsigned long>(micro.shootdowns));
-    rc = 1;
-  }
 
   std::printf("  shard sweep    : 8-socket/224-cpu storm, %lu events/cpu\n",
               static_cast<unsigned long>(storm_events_per_cpu));
@@ -425,6 +398,17 @@ int Main(int argc, char** argv) {
     std::printf("    serial  : %6.2fM events/s, %lu shootdowns\n", eps / 1e6,
                 static_cast<unsigned long>(proto_serial.storm.shootdowns));
   }
+  // Window granularity of the sharded points: barrier rounds, and events
+  // each shard fires per window it enters. Host threads only change who runs
+  // a window, never where its horizon falls, so every point must agree.
+  const Engine::ParallelStats& proto_par = proto.front().storm.par;
+  const double proto_events_per_window =
+      proto_par.shard_windows == 0
+          ? 0.0
+          : static_cast<double>(proto_par.parallel_events) /
+                static_cast<double>(proto_par.shard_windows);
+  std::printf("    windows : %lu, %.1f events per shard per window\n",
+              static_cast<unsigned long>(proto_par.windows), proto_events_per_window);
   for (const ProtoPoint& p : proto) {
     double eps = p.seconds > 0
                      ? static_cast<double>(p.storm.events_processed) / p.seconds
@@ -451,6 +435,16 @@ int Main(int argc, char** argv) {
                    "sim_throughput: protocol shards (threads=%d) diverged from "
                    "the serial replay\n",
                    p.threads);
+      rc = 1;
+    }
+    if (p.storm.par.windows != proto_par.windows ||
+        p.storm.par.shard_windows != proto_par.shard_windows ||
+        p.storm.par.parallel_events != proto_par.parallel_events) {
+      std::fprintf(stderr,
+                   "sim_throughput: protocol shards (threads=%d) ran %lu windows, "
+                   "%lu at threads=%d\n",
+                   p.threads, static_cast<unsigned long>(p.storm.par.windows),
+                   static_cast<unsigned long>(proto_par.windows), proto.front().threads);
       rc = 1;
     }
     // Confinement: the whole protocol chain must run inside one shard.
@@ -499,6 +493,8 @@ int Main(int argc, char** argv) {
   virt["protocol_storm_events"] = proto_serial.storm.events_processed;
   virt["protocol_storm_shootdowns"] = proto_serial.storm.shootdowns;
   virt["protocol_storm_flush_requests"] = proto_serial.storm.flush_requests;
+  virt["protocol_storm_windows"] = proto_par.windows;
+  virt["protocol_storm_events_per_window"] = proto_events_per_window;
   report.Set("virtual", std::move(virt));
 
   // Host-dependent wall-clock results; CI strips this key before the
@@ -507,7 +503,6 @@ int Main(int argc, char** argv) {
   wall["events_per_sec"] = events_per_sec;
   wall["coro_frames_per_sec"] = frames_per_sec;
   wall["ns_per_shootdown"] = ns_per_shootdown;
-  wall["ns_per_shootdown_sim_threads_2"] = ns_per_shootdown2;
   wall["allocs_per_event_steady"] = plain.allocs_per_event;
   wall["allocs_per_coro_frame_steady"] = coro.allocs_per_frame;
   wall["host_cores"] = static_cast<uint64_t>(std::thread::hardware_concurrency());

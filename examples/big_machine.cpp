@@ -1,112 +1,22 @@
-// Big-machine lab: the 8-socket / 224-cpu preset on the sharded event
-// engine.
+// Big-machine lab: the 8-socket / 224-cpu preset on protocol shards.
 //
-// Runs the same scenario twice — once on the serial engine (sim_threads=1)
-// and once with per-socket event-heap shards on 8 host threads — and checks
-// the simulated outcome is identical. The scenario mixes the two timeline
-// classes the engine distinguishes:
-//
-//   - the shootdown protocol (kernel + APIC + coherence) runs on the serial
-//     timeline, exactly as on the 2-socket paper testbed;
-//   - per-cpu background "traffic" events ride the per-socket shards via
-//     ScheduleOnCpu and execute concurrently inside conservative-lookahead
-//     windows.
-//
-// Part two runs the sharded-protocol storm (MachineConfig::shard_protocol):
-// the ENTIRE shootdown protocol — cpumask scan, IPI delivery, remote flush,
-// ack, coherence — banked per socket and executed inside the shard windows,
-// socket-confined by construction. The sharded run must replay the serial
-// engine bit-exactly (checksum, end time, event count) with zero cross-shard
-// traffic. This is also the TSan storm CI drives at --sim-threads 8.
+// Runs the sharded-protocol storm (MachineConfig::shard_protocol): every
+// socket runs a confined mprotect shootdown storm, and the ENTIRE shootdown
+// protocol — cpumask scan, IPI delivery, remote flush, ack, coherence — is
+// banked per socket and executed inside the shard windows, socket-confined by
+// construction. The sharded run must replay the serial engine bit-exactly
+// (checksum, end time, event count) with zero cross-shard traffic. This is
+// also the TSan storm CI drives at --sim-threads 8.
 //
 //   $ ./build/examples/big_machine [--sim-threads N]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "src/core/system.h"
 #include "src/workloads/protocol_storm.h"
 
 using namespace tlbsim;
-
-namespace {
-
-SimTask Responder(SimCpu& cpu, const bool* stop) {
-  while (!*stop) {
-    co_await cpu.Execute(500);
-  }
-}
-
-SimTask Initiator(System& sys, Thread& t, bool* stop, Cycles* madvise_cycles) {
-  Kernel& kernel = sys.kernel();
-  SimCpu& cpu = sys.machine().cpu(t.cpu);
-  uint64_t addr = co_await kernel.SysMmap(t, 8 * kPageSize4K, /*writable=*/true,
-                                          /*shared=*/false);
-  for (int i = 0; i < 8; ++i) {
-    co_await kernel.UserAccess(t, addr + static_cast<uint64_t>(i) * kPageSize4K,
-                               /*write=*/true);
-  }
-  Cycles t0 = cpu.now();
-  co_await kernel.SysMadviseDontneed(t, addr, 8 * kPageSize4K);
-  *madvise_cycles = cpu.now() - t0;
-  *stop = true;
-}
-
-struct RunResult {
-  Cycles madvise_cycles = 0;
-  uint64_t ipis_sent = 0;
-  uint64_t traffic_events = 0;
-  Engine::ParallelStats par;
-};
-
-RunResult RunOnce(int sim_threads) {
-  SystemConfig cfg;
-  cfg.machine.topo = Topology::EightSocket();
-  cfg.machine.sim_threads = sim_threads;
-  cfg.kernel.pti = true;
-  cfg.kernel.opts = OptimizationSet::AllGeneral();
-  System sys(cfg);
-  Machine& m = sys.machine();
-  const Topology& topo = m.config().topo;
-
-  // Background traffic: 64 events per cpu, shard-confined (each touches only
-  // its own cpu's counter), spread over ~60k cycles so they overlap the
-  // shootdown. On the sharded engine these run inside parallel windows.
-  std::vector<uint64_t> traffic(static_cast<size_t>(topo.num_cpus()), 0);
-  for (int cpu = 0; cpu < topo.num_cpus(); ++cpu) {
-    for (int k = 0; k < 64; ++k) {
-      uint64_t* slot = &traffic[static_cast<size_t>(cpu)];
-      m.engine().ScheduleOnCpu(cpu, 1 + static_cast<Cycles>(k) * 977,
-                               [slot] { ++*slot; });
-    }
-  }
-
-  // One responder on every remote socket; the initiator madvises 8 pages,
-  // shooting down all 7 of them at once.
-  Process* proc = sys.kernel().CreateProcess();
-  Thread* initiator = sys.kernel().CreateThread(proc, /*cpu=*/0);
-  bool stop = false;
-  for (int s = 1; s < topo.sockets; ++s) {
-    int cpu = s * topo.cpus_per_socket();
-    sys.kernel().CreateThread(proc, cpu);
-    m.cpu(cpu).Spawn(Responder(m.cpu(cpu), &stop));
-  }
-  Cycles madvise_cycles = 0;
-  m.cpu(0).Spawn(Initiator(sys, *initiator, &stop, &madvise_cycles));
-  m.engine().Run();
-
-  RunResult r;
-  r.madvise_cycles = madvise_cycles;
-  r.ipis_sent = m.apic().stats().ipis_sent;
-  for (uint64_t t : traffic) {
-    r.traffic_events += t;
-  }
-  r.par = m.engine().parallel_stats();
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int sim_threads = 8;
@@ -122,43 +32,8 @@ int main(int argc, char** argv) {
     sim_threads = 1;
   }
 
-  std::printf("big_machine: 8 sockets, 224 cpus, shootdown to 7 remote sockets\n\n");
-
-  RunResult serial = RunOnce(/*sim_threads=*/1);
-  RunResult sharded = RunOnce(/*sim_threads=*/8);
-
-  std::printf("serial engine   : madvise %lld cycles, %llu IPIs, %llu traffic events\n",
-              static_cast<long long>(serial.madvise_cycles),
-              static_cast<unsigned long long>(serial.ipis_sent),
-              static_cast<unsigned long long>(serial.traffic_events));
-  std::printf("8 event shards  : madvise %lld cycles, %llu IPIs, %llu traffic events\n",
-              static_cast<long long>(sharded.madvise_cycles),
-              static_cast<unsigned long long>(sharded.ipis_sent),
-              static_cast<unsigned long long>(sharded.traffic_events));
-  std::printf("                  %llu windows, %llu shard activations, "
-              "%llu events in parallel\n",
-              static_cast<unsigned long long>(sharded.par.windows),
-              static_cast<unsigned long long>(sharded.par.shard_windows),
-              static_cast<unsigned long long>(sharded.par.parallel_events));
-
-  // The whole point: host parallelism must be invisible to the simulation.
-  if (serial.madvise_cycles != sharded.madvise_cycles ||
-      serial.ipis_sent != sharded.ipis_sent ||
-      serial.traffic_events != sharded.traffic_events) {
-    std::printf("\nFAIL: sharded run diverged from the serial engine\n");
-    return 1;
-  }
-  if (sharded.par.windows == 0 || sharded.par.parallel_events == 0) {
-    std::printf("\nFAIL: sharded run never entered a parallel window\n");
-    return 1;
-  }
-  std::printf("\nOK: identical simulation at 1 and 8 sim-threads\n");
-
-  // Part two: the sharded-protocol storm. Every socket runs a confined
-  // mprotect shootdown storm, and the protocol itself executes on the
-  // per-socket shards — banked cpumask, APIC, coherence directory, backend.
-  std::printf("\nsharded-protocol storm: all 224 cpus, mprotect round-trips, "
-              "%d host threads\n\n", sim_threads);
+  std::printf("big_machine: 8 sockets, 224 cpus, sharded-protocol storm, "
+              "mprotect round-trips, %d host threads\n\n", sim_threads);
   ProtocolStormConfig pcfg;
   pcfg.topo = Topology::EightSocket();
   pcfg.pages_per_cpu = 2;

@@ -182,20 +182,6 @@ def check_sim_throughput(path, doc):
             " expected exactly 0 (coroutine frame pool regressed)",
         )
 
-    # --sim-threads must not tax the serial protocol path: the same madvise
-    # storm under the sharded engine config (whose shard queues stay empty)
-    # must stay within noise of the serial engine. 1.5x is far above timer
-    # jitter on any CI machine yet catches an accidental hot-path branch.
-    ns1 = wall.get("ns_per_shootdown", 0)
-    ns2 = wall.get("ns_per_shootdown_sim_threads_2", 0)
-    if ns2 <= 0:
-        rc |= fail(path, "wall.ns_per_shootdown_sim_threads_2 is not positive")
-    elif ns1 > 0 and ns2 > ns1 * 1.5:
-        rc |= fail(
-            path,
-            f"--sim-threads 2 shootdown storm regressed: {ns2:.0f} ns vs {ns1:.0f} ns serial",
-        )
-
     # Shard-scaling sweep: every shard count must replay the identical
     # timeline (the conservative-lookahead determinism contract), cross-shard
     # traffic must actually flow, and nothing may violate the lookahead

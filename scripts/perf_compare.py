@@ -27,7 +27,6 @@ METRICS = [
     ("plain events/s", ("events_per_sec",), True),
     ("coro frames/s", ("coro_frames_per_sec",), True),
     ("ns/shootdown (serial)", ("ns_per_shootdown",), False),
-    ("ns/shootdown (sim-threads 2)", ("ns_per_shootdown_sim_threads_2",), False),
 ]
 
 

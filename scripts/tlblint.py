@@ -23,10 +23,9 @@ but the C++ type system cannot state:
                 src/core/optimizations.h) is pinned in LAYERING_WHITELIST as
                 a file pair so it cannot silently widen into kernel -> core.
 
-  determinism   Host-nondeterminism gate (supersedes
-                scripts/check_determinism_lint.py, same suppression syntax).
-                Flags host clocks outside sanctioned hosts-side-timing code,
-                host randomness, range-for over unordered containers, and
+  determinism   Host-nondeterminism gate. Flags host clocks outside
+                sanctioned host-side-timing code, host randomness, range-for
+                over unordered containers, and
                 pointer-keyed ordered containers (std::map/set<T*>: iteration
                 order follows allocation addresses). Suppress a provably
                 order-independent loop with `// det-ok: <why>` on the line.

@@ -52,9 +52,8 @@ void CollectMachineMetrics(Machine& machine) {
   const Engine::ParallelStats par = machine.engine().parallel_stats();
   if (par.windows > 0) {
     // Sharded-engine gauges, only once a parallel window actually ran.
-    // Guarded: the shootdown protocol lives on the serial timeline, so a
-    // figure bench at any --sim-threads never enters a window and its
-    // report stays byte-identical with the serial engine's.
+    // Guarded: no figure bench shards its engine, so it never enters a
+    // window and its report stays byte-identical with the serial engine's.
     m.counter("engine.windows").Set(par.windows);
     m.counter("engine.shard_windows").Set(par.shard_windows);
     m.counter("engine.parallel_events").Set(par.parallel_events);
@@ -67,8 +66,7 @@ void CollectMachineMetrics(Machine& machine) {
   }
   if (machine.protocol_shards_active()) {
     // Protocol-shard gauges (MachineConfig::shard_protocol). Guarded like the
-    // window gauges above: legacy and plain --sim-threads reports never see
-    // these names.
+    // window gauges above: unsharded reports never see these names.
     m.counter("engine.protocol_shard_banks").Set(
         static_cast<uint64_t>(machine.topo().sockets));
     m.counter("engine.protocol_shard_lookahead").Set(

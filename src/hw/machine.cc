@@ -11,44 +11,23 @@ Machine::Machine(const MachineConfig& config)
       metrics_(config_.topo.num_cpus()),
       coherence_(config_.topo, config_.costs.cache),
       apic_(&engine_, config_.topo, &config_.costs) {
-  // --sim-threads N on a multi-socket topology: shard the event heap per
-  // socket and hand the engine a window executor. The engine must be
-  // configured before anything schedules; nothing has run yet here. More
-  // threads than sockets buys nothing (one host thread per shard plus the
-  // coordinator), so the pool is clamped.
-  //
-  // Protocol-shard mode instead *defers* the split: the plan is built here
-  // but applied by ActivateProtocolShards() after the workload's serial
-  // setup phase, and the window width widens to the IPI wire latency (the
-  // banked coherence directory removes every other cross-socket edge). A
-  // sharded protocol replay at sim_threads == 1 is legal — windows run
-  // inline with no pool — and is the reference timeline the equality
-  // harness compares multi-threaded runs against.
-  bool want_shards = config_.topo.sockets > 1 &&
-                     (config_.sim_threads > 1 || config_.shard_protocol);
-  if (want_shards) {
+  // The split is deferred to ActivateProtocolShards(), after the workload's
+  // serial setup phase. More threads than sockets buys nothing (one host
+  // thread per shard plus the coordinator), so the pool is clamped.
+  if (config_.shard_protocol && config_.topo.sockets > 1) {
     if (config_.sim_threads > 1) {
       int threads = std::min(config_.sim_threads, config_.topo.sockets);
       sim_pool_ = std::make_unique<ThreadPool>(threads - 1);
       sim_executor_ = std::make_unique<EngineExecutor>(*sim_pool_);
     }
-    Engine::ShardPlan plan;
-    plan.shards = config_.topo.sockets;
-    plan.shard_of_cpu.resize(static_cast<size_t>(config_.topo.num_cpus()));
+    pending_plan_.shards = config_.topo.sockets;
+    pending_plan_.shard_of_cpu.resize(static_cast<size_t>(config_.topo.num_cpus()));
     for (int i = 0; i < config_.topo.num_cpus(); ++i) {
-      plan.shard_of_cpu[static_cast<size_t>(i)] = config_.topo.SocketOf(i);
+      pending_plan_.shard_of_cpu[static_cast<size_t>(i)] = config_.topo.SocketOf(i);
     }
-    plan.executor = sim_executor_.get();
-    if (config_.shard_protocol) {
-      plan.lookahead = config_.protocol_lookahead > 0
-                           ? config_.protocol_lookahead
-                           : config_.costs.ProtocolShardLookahead();
-      pending_plan_ = std::move(plan);
-      protocol_pending_ = true;
-    } else if (config_.sim_threads > 1) {
-      plan.lookahead = config_.costs.CrossShardLookahead();
-      engine_.ConfigureSharding(std::move(plan));
-    }
+    pending_plan_.executor = sim_executor_.get();
+    pending_plan_.lookahead = config_.costs.ProtocolShardLookahead();
+    protocol_pending_ = true;
   }
   apic_.set_metrics(&metrics_);
   Rng root(config_.seed);

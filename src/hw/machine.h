@@ -20,7 +20,7 @@
 
 namespace tlbsim {
 
-class ThreadPool;       // src/exec/thread_pool.h; owned here when sim_threads > 1
+class ThreadPool;       // src/exec/thread_pool.h; owned here for protocol shards
 class EngineExecutor;   // adapter handing the pool to the engine
 
 struct MachineConfig {
@@ -31,15 +31,6 @@ struct MachineConfig {
   // pre-NUMA timings exactly. Experiments set numa.nodes = topo.sockets.
   NumaConfig numa;
   uint64_t seed = 1;
-  // Host threads for the sharded event engine (the --sim-threads axis).
-  // 1 (default) keeps the single-heap engine, bit-identical to every
-  // pre-sharding report. >1 splits the engine into per-socket event shards
-  // with conservative-lookahead windows; the shootdown protocol itself still
-  // runs on the serial timeline (see src/sim/engine.h), so simulation
-  // results stay byte-identical at any value — only host-side wall metrics
-  // and shard-confined workloads (ScheduleOnCpu traffic) use the extra
-  // threads.
-  int sim_threads = 1;
   // Protocol sharding: run the shootdown protocol itself — kernel paths,
   // coherence directory, APIC delivery, backend state — on per-socket shards
   // instead of the serial queue. Setup is two-phase: the Machine constructor
@@ -47,14 +38,17 @@ struct MachineConfig {
   // the unsharded serial engine), then the workload calls
   // System::ActivateProtocolShards() / Machine::ActivateProtocolShards() on
   // the quiescent engine to split the heap and bank every protocol-state
-  // object per socket. Meaningful on multi-socket topologies only; works at
-  // sim_threads == 1 too (windows run inline on the calling thread), which
-  // is how the equality harness replays a sharded run deterministically.
+  // object per socket. The window width is costs.ProtocolShardLookahead()
+  // (IPI wire latency — with the coherence directory banked, an IPI is the
+  // only cross-socket edge left). Meaningful on multi-socket topologies
+  // only; off (default) keeps the single-heap engine, bit-identical to every
+  // pre-sharding report.
   bool shard_protocol = false;
-  // Window width for protocol-shard mode; 0 picks
-  // costs.ProtocolShardLookahead() (IPI wire latency — with the coherence
-  // directory banked, an IPI is the only cross-socket edge left).
-  Cycles protocol_lookahead = 0;
+  // Host threads running the protocol shards' windows (clamped to sockets).
+  // Only read when shard_protocol is on: 1 (default) runs every window
+  // inline on the calling thread, which is how the equality harness replays
+  // a sharded run deterministically.
+  int sim_threads = 1;
 };
 
 class Machine {
@@ -95,9 +89,10 @@ class Machine {
 
  private:
   MachineConfig config_;
-  // Host threads backing the engine's parallel windows (sim_threads > 1 on a
-  // multi-socket topology only); declared before engine_ so the executor
-  // outlives every window the engine could still reference.
+  // Host threads backing the protocol shards' windows (shard_protocol with
+  // sim_threads > 1 on a multi-socket topology only); declared before
+  // engine_ so the executor outlives every window the engine could still
+  // reference.
   std::unique_ptr<ThreadPool> sim_pool_;
   std::unique_ptr<EngineExecutor> sim_executor_;
   Engine engine_;

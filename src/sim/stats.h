@@ -1,11 +1,11 @@
-// Statistics helpers: Welford running mean/stddev and simple histograms.
+// Statistics helper: Welford running mean/stddev/min/max. Percentiles live
+// in the metrics registry's Histogram (src/sim/metrics.h).
 #ifndef TLBSIM_SRC_SIM_STATS_H_
 #define TLBSIM_SRC_SIM_STATS_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace tlbsim {
 
@@ -37,51 +37,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Sample reservoir with exact percentiles (for modest sample counts).
-class Samples {
- public:
-  void Add(double x) {
-    data_.push_back(x);
-    sorted_ = false;
-  }
-
-  double Percentile(double p) {
-    if (data_.empty()) {
-      return 0.0;
-    }
-    if (!sorted_) {
-      std::sort(data_.begin(), data_.end());
-      sorted_ = true;
-    }
-    double rank = p / 100.0 * static_cast<double>(data_.size() - 1);
-    auto lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, data_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return data_[lo] * (1.0 - frac) + data_[hi] * frac;
-  }
-
-  double Mean() const {
-    if (data_.empty()) {
-      return 0.0;
-    }
-    double s = 0.0;
-    for (double x : data_) {
-      s += x;
-    }
-    return s / static_cast<double>(data_.size());
-  }
-
-  size_t size() const { return data_.size(); }
-  void Clear() {
-    data_.clear();
-    sorted_ = false;
-  }
-
- private:
-  std::vector<double> data_;
-  bool sorted_ = false;
 };
 
 }  // namespace tlbsim

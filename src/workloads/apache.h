@@ -29,7 +29,6 @@ struct ApacheConfig {
   double generator_cap_per_mcycle = 92.0;
   uint64_t seed = 1;
   FlushBackendKind backend = FlushBackendKind::kIpi;
-  int sim_threads = 1;  // see MicroConfig::sim_threads
 };
 
 struct ApacheResult {

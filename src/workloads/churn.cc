@@ -103,7 +103,6 @@ SystemConfig MakeSystemConfig(const ChurnConfig& cfg) {
   sys_cfg.kernel.pti = cfg.pti;
   sys_cfg.kernel.opts = cfg.opts;
   sys_cfg.machine.seed = cfg.seed;
-  sys_cfg.machine.sim_threads = cfg.sim_threads;
   sys_cfg.backend = cfg.backend;
   return sys_cfg;
 }

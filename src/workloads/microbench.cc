@@ -61,7 +61,6 @@ MicroResult RunMadviseMicrobench(const MicroConfig& cfg) {
   sys_cfg.kernel.pti = cfg.pti;
   sys_cfg.kernel.opts = cfg.opts;
   sys_cfg.machine.seed = cfg.seed;
-  sys_cfg.machine.sim_threads = cfg.sim_threads;
   sys_cfg.backend = cfg.backend;
   System sys(sys_cfg);
 
@@ -122,7 +121,6 @@ CowResult RunCowMicrobench(const CowConfig& cfg) {
   sys_cfg.kernel.pti = cfg.pti;
   sys_cfg.kernel.opts = cfg.opts;
   sys_cfg.machine.seed = cfg.seed;
-  sys_cfg.machine.sim_threads = cfg.sim_threads;
   sys_cfg.backend = cfg.backend;
   System sys(sys_cfg);
 

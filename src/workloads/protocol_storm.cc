@@ -82,7 +82,6 @@ ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg) {
   sys_cfg.machine.seed = cfg.seed;
   sys_cfg.machine.sim_threads = cfg.sim_threads;
   sys_cfg.machine.shard_protocol = cfg.shard_protocol;
-  sys_cfg.machine.protocol_lookahead = cfg.protocol_lookahead;
   sys_cfg.backend = cfg.backend;
   System sys(sys_cfg);
   Kernel& k = sys.kernel();

@@ -48,7 +48,6 @@ struct ProtocolStormConfig {
   // Host threads (clamped to sockets); 1 with shard_protocol runs every
   // shard window inline — the deterministic sharded reference.
   int sim_threads = 1;
-  Cycles protocol_lookahead = 0;  // 0: CostModel::ProtocolShardLookahead()
   int pages_per_cpu = 4;
   int iterations = 50;            // mprotect RO/RW round-trips per CPU
   // Debug-assert the socket-confinement contract in the backend (on by

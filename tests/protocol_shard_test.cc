@@ -80,6 +80,23 @@ TEST(ProtocolShardTest, ShardedMatchesSerialAggregates) {
   }
 }
 
+TEST(ProtocolShardTest, SimThreadsShardOnlyTheProtocol) {
+  // sim_threads sizes the protocol shards' thread pool and nothing else:
+  // without shard_protocol the engine keeps its single heap.
+  SystemConfig cfg;
+  cfg.machine.topo = Topology::FourSocket();
+  cfg.machine.sim_threads = 4;
+  System plain(cfg);
+  plain.ActivateProtocolShards();
+  EXPECT_FALSE(plain.machine().engine().sharded());
+
+  cfg.machine.shard_protocol = true;
+  System sharded(cfg);
+  EXPECT_FALSE(sharded.machine().engine().sharded());  // split is deferred
+  sharded.ActivateProtocolShards();
+  EXPECT_TRUE(sharded.machine().engine().sharded());
+}
+
 TEST(ProtocolShardTest, HostThreadCountIsInvisible) {
   for (FlushBackendKind backend : {FlushBackendKind::kIpi, FlushBackendKind::kQueue}) {
     ProtocolStormConfig one = SmallConfig(backend);

@@ -1,4 +1,4 @@
-// RunningStat / Samples.
+// RunningStat.
 #include "src/sim/stats.h"
 
 #include <gtest/gtest.h>
@@ -39,35 +39,6 @@ TEST(RunningStatTest, ResetClears) {
   s.Add(1.0);
   s.Reset();
   EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(SamplesTest, PercentilesOfUniformRamp) {
-  Samples s;
-  for (int i = 0; i <= 100; ++i) {
-    s.Add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 0.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-  EXPECT_NEAR(s.Percentile(99), 99.0, 1e-9);
-}
-
-TEST(SamplesTest, MeanAndClear) {
-  Samples s;
-  s.Add(1.0);
-  s.Add(3.0);
-  EXPECT_DOUBLE_EQ(s.Mean(), 2.0);
-  s.Clear();
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_DOUBLE_EQ(s.Mean(), 0.0);
-}
-
-TEST(SamplesTest, UnsortedInsertOrderIrrelevant) {
-  Samples s;
-  for (double x : {9.0, 1.0, 5.0, 3.0, 7.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 5.0);
 }
 
 }  // namespace
