@@ -10,21 +10,15 @@
 //                        (coroutine frames/sec, allocations per frame);
 //   3. shootdown_storm — the Fig.5 madvise microbenchmark (wall-clock ns per
 //                        simulated shootdown);
-//   4. shard_sweep     — the cross-socket shard storm on the 8-socket
-//                        224-cpu preset at 1/2/4/8 event shards: aggregate
-//                        events/s, cross-shard messages per event, horizon-
-//                        stall fraction, allocations per event — and a
-//                        checksum cross-check that every shard count replays
-//                        the identical timeline;
-//   5. protocol_sweep  — the REAL shootdown protocol (kernel + IPI backend)
+//   4. protocol_sweep  — the REAL shootdown protocol (kernel + IPI backend)
 //                        as a socket-confined storm on the 8-socket preset,
 //                        serial vs protocol shards at 1/2/4/8 host threads
 //                        (MachineConfig::shard_protocol): events/s per
 //                        point, in-binary equality of every sharded point
 //                        against the serial replay AND against true serial
 //                        (the ipi protocol replays bit-exactly), the same
-//                        window count at every host-thread count, and the
-//                        >=2x-at-8-shards speedup gate on hosts with enough
+//                        phase count at every host-thread count, and the
+//                        >=2x-at-8-threads speedup gate on hosts with enough
 //                        cores to express it (>= 4; CI runs it on a
 //                        multi-core runner).
 //
@@ -33,29 +27,36 @@
 // steady state; the reported allocations-per-event is the *steady-state*
 // figure, which CI gates at exactly zero for the plain-event path.
 //
+// Every timed measurement is repeated (3x; once under --quick) and reports
+// its fastest repetition; the protocol sweep interleaves its repetitions
+// across points so host drift hits every point alike. On a shared host the
+// fastest run is the least-interfered one, which keeps the >10% tripwire in
+// scripts/perf_compare.py about the simulator rather than the neighbours.
+//
 // Report layout: everything under "virtual" and "config" is seeded virtual-
 // simulation data and must be byte-identical across runs (CI strips "wall"
 // and cmps the rest); "wall" holds host-dependent wall-clock results.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/report.h"
-#include "src/hw/cost_model.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
 #include "src/workloads/microbench.h"
 #include "src/workloads/protocol_storm.h"
-#include "src/workloads/shard_storm.h"
 
 // ----- counting allocator hook ---------------------------------------------
-// Relaxed atomics: the shard sweep allocates from pool worker threads, and
+// Relaxed atomics: the protocol sweep allocates from pool worker threads, and
 // the hook must stay cheap on the single-threaded phases.
 namespace {
 std::atomic<uint64_t> g_allocs{0};
@@ -196,49 +197,7 @@ CoroResult RunCoroStorm(uint64_t rounds) {
   return r;
 }
 
-// Phase 4: the shard-scaling sweep. One point per shard count on the
-// 8-socket preset, host threads matching shards; the same seeded storm, so
-// every point must replay the identical virtual timeline.
-struct ShardPoint {
-  int shards = 0;
-  ShardStormResult storm;
-  double seconds = 0;
-  double allocs_per_event = 0;
-};
-
-ShardPoint RunShardPoint(int shards, uint64_t events_per_cpu, Cycles lookahead) {
-  ShardStormConfig cfg;
-  cfg.topo = Topology::EightSocket();
-  cfg.shards = shards;
-  cfg.host_threads = shards;
-  cfg.lookahead = lookahead;
-  cfg.events_per_cpu = events_per_cpu;
-  cfg.cross_period = 64;
-  cfg.cross_latency = 1500;  // the cost model's cross-socket IPI wire time
-  cfg.seed = 42;
-
-  // Warmup at 1/8 length: spins up the thread pool and fills the allocator's
-  // size buckets so the measured run sees steady-state malloc behaviour.
-  ShardStormConfig warm = cfg;
-  warm.events_per_cpu = events_per_cpu / 8 + 1;
-  RunShardStorm(warm);
-
-  ShardPoint p;
-  p.shards = shards;
-  uint64_t before_allocs = g_allocs.load(std::memory_order_relaxed);
-  auto t0 = Clock::now();
-  p.storm = RunShardStorm(cfg);
-  auto t1 = Clock::now();
-  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before_allocs;
-  p.seconds = Seconds(t0, t1);
-  p.allocs_per_event = p.storm.events_processed == 0
-                           ? 0.0
-                           : static_cast<double>(allocs) /
-                                 static_cast<double>(p.storm.events_processed);
-  return p;
-}
-
-// Phase 5: the protocol sweep. The real shootdown protocol (kernel, IPI
+// Phase 4: the protocol sweep. The real shootdown protocol (kernel, IPI
 // backend, coherence, TLBs) as a socket-confined storm on the 8-socket
 // preset. One true-serial baseline plus sharded points at 1/2/4/8 host
 // threads; the sharded points must all replay the serial timeline bit-
@@ -276,6 +235,14 @@ ProtoPoint RunProtoPoint(bool sharded, int threads, int iterations) {
   return p;
 }
 
+// Keeps the faster of `best` (if already set) and `next`.
+template <typename T>
+void KeepFastest(T* best, T next, bool first) {
+  if (first || next.seconds < best->seconds) {
+    *best = std::move(next);
+  }
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -286,8 +253,13 @@ int Main(int argc, char** argv) {
   // before anything is measured.
   RunPlainEvents(200000);
 
-  PlainEventResult plain = RunPlainEvents(2000000);
-  CoroResult coro = RunCoroStorm(300000);
+  const int repeats = report.quick() ? 1 : 3;
+  PlainEventResult plain;
+  CoroResult coro;
+  for (int r = 0; r < repeats; ++r) {
+    KeepFastest(&plain, RunPlainEvents(2000000), r == 0);
+    KeepFastest(&coro, RunCoroStorm(300000), r == 0);
+  }
 
   MicroConfig mc;
   mc.pti = true;
@@ -296,17 +268,13 @@ int Main(int argc, char** argv) {
   mc.iterations = 1500;
   mc.seed = 42;
   RunMadviseMicrobench(mc);  // shootdown-phase warmup
-  auto t0 = Clock::now();
-  MicroResult micro = RunMadviseMicrobench(mc);
-  auto t1 = Clock::now();
-  double storm_seconds = Seconds(t0, t1);
-
-  // Phase 4: shard scaling. --quick shrinks the storm for local iteration.
-  const uint64_t storm_events_per_cpu = report.quick() ? 1000 : 4000;
-  const Cycles lookahead = CostModel{}.CrossShardLookahead();
-  std::vector<ShardPoint> sweep;
-  for (int shards : {1, 2, 4, 8}) {
-    sweep.push_back(RunShardPoint(shards, storm_events_per_cpu, lookahead));
+  MicroResult micro;
+  double storm_seconds = 0;
+  for (int r = 0; r < repeats; ++r) {
+    auto t0 = Clock::now();
+    micro = RunMadviseMicrobench(mc);
+    double s = Seconds(t0, Clock::now());
+    storm_seconds = r == 0 ? s : std::min(storm_seconds, s);
   }
 
   double events_per_sec =
@@ -325,66 +293,18 @@ int Main(int argc, char** argv) {
 
   int rc = 0;
 
-  std::printf("  shard sweep    : 8-socket/224-cpu storm, %lu events/cpu\n",
-              static_cast<unsigned long>(storm_events_per_cpu));
-  const ShardPoint& base = sweep.front();
-  for (const ShardPoint& p : sweep) {
-    double eps = p.seconds > 0
-                     ? static_cast<double>(p.storm.events_processed) / p.seconds
-                     : 0;
-    double msgs_per_event =
-        p.storm.events_processed == 0
-            ? 0.0
-            : static_cast<double>(p.storm.par.cross_shard_messages) /
-                  static_cast<double>(p.storm.events_processed);
-    double stall_frac =
-        p.storm.par.shard_windows + p.storm.par.horizon_stalls == 0
-            ? 0.0
-            : static_cast<double>(p.storm.par.horizon_stalls) /
-                  static_cast<double>(p.storm.par.shard_windows + p.storm.par.horizon_stalls);
-    std::printf("    shards=%d: %6.2fM events/s, %.4f msgs/event, "
-                "%.3f stall frac, %.4f allocs/event, speedup %.2fx\n",
-                p.shards, eps / 1e6, msgs_per_event, stall_frac, p.allocs_per_event,
-                base.seconds > 0 && p.seconds > 0 ? base.seconds / p.seconds : 0.0);
-    // Every shard count must replay the same timeline — this is the replay
-    // determinism contract, checked on every bench run.
-    if (p.storm.timeline_checksum != base.storm.timeline_checksum ||
-        p.storm.events_processed != base.storm.events_processed ||
-        p.storm.end_time != base.storm.end_time) {
-      std::fprintf(stderr, "sim_throughput: shard count %d diverged from the serial replay\n",
-                   p.shards);
-      rc = 1;
-    }
-    if (p.storm.par.clamped_deliveries != 0) {
-      std::fprintf(stderr, "sim_throughput: storm violated the lookahead contract (%lu clamps)\n",
-                   static_cast<unsigned long>(p.storm.par.clamped_deliveries));
-      rc = 1;
-    }
-    // Deterministic per-shard-count row (virtual quantities only).
-    Json row = Json::Object();
-    row["shards"] = p.shards;
-    row["events_processed"] = p.storm.events_processed;
-    row["chain_events"] = p.storm.chain_events;
-    row["deliveries"] = p.storm.deliveries;
-    row["timeline_checksum"] = p.storm.timeline_checksum;
-    row["end_time"] = static_cast<uint64_t>(p.storm.end_time);
-    row["windows"] = p.storm.par.windows;
-    row["shard_windows"] = p.storm.par.shard_windows;
-    row["cross_shard_messages"] = p.storm.par.cross_shard_messages;
-    row["msgs_per_event"] = msgs_per_event;
-    row["horizon_stalls"] = p.storm.par.horizon_stalls;
-    row["horizon_stall_fraction"] = stall_frac;
-    row["clamped_deliveries"] = p.storm.par.clamped_deliveries;
-    row["mailbox_overflows"] = p.storm.par.mailbox_overflows;
-    report.AddRow(std::move(row));
-  }
-
-  // Phase 5: protocol scaling — the real shootdown path on protocol shards.
+  // Phase 4: protocol scaling — the real shootdown path on protocol shards.
   const int proto_iterations = report.quick() ? 4 : 16;
-  ProtoPoint proto_serial = RunProtoPoint(/*sharded=*/false, /*threads=*/1, proto_iterations);
-  std::vector<ProtoPoint> proto;
-  for (int threads : {1, 2, 4, 8}) {
-    proto.push_back(RunProtoPoint(/*sharded=*/true, threads, proto_iterations));
+  constexpr int kProtoThreads[] = {1, 2, 4, 8};
+  ProtoPoint proto_serial;
+  std::vector<ProtoPoint> proto(std::size(kProtoThreads));
+  for (int r = 0; r < repeats; ++r) {
+    KeepFastest(&proto_serial, RunProtoPoint(/*sharded=*/false, /*threads=*/1, proto_iterations),
+                r == 0);
+    for (size_t k = 0; k < proto.size(); ++k) {
+      KeepFastest(&proto[k], RunProtoPoint(/*sharded=*/true, kProtoThreads[k], proto_iterations),
+                  r == 0);
+    }
   }
   unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("  protocol sweep : 8-socket/224-cpu confined shootdown storm, "
@@ -398,9 +318,9 @@ int Main(int argc, char** argv) {
     std::printf("    serial  : %6.2fM events/s, %lu shootdowns\n", eps / 1e6,
                 static_cast<unsigned long>(proto_serial.storm.shootdowns));
   }
-  // Window granularity of the sharded points: barrier rounds, and events
-  // each shard fires per window it enters. Host threads only change who runs
-  // a window, never where its horizon falls, so every point must agree.
+  // Phase granularity of the sharded points: parallel phases, and events
+  // each shard fires per phase it runs in. Host threads only change who runs
+  // a shard, never where a phase starts or ends, so every point must agree.
   const Engine::ParallelStats& proto_par = proto.front().storm.par;
   const double proto_events_per_window =
       proto_par.shard_windows == 0
@@ -447,16 +367,6 @@ int Main(int argc, char** argv) {
                    static_cast<unsigned long>(proto_par.windows), proto.front().threads);
       rc = 1;
     }
-    // Confinement: the whole protocol chain must run inside one shard.
-    if (p.storm.par.cross_shard_messages != 0 || p.storm.par.clamped_deliveries != 0) {
-      std::fprintf(stderr,
-                   "sim_throughput: confined protocol storm leaked across shards "
-                   "(threads=%d: %lu msgs, %lu clamps)\n",
-                   p.threads,
-                   static_cast<unsigned long>(p.storm.par.cross_shard_messages),
-                   static_cast<unsigned long>(p.storm.par.clamped_deliveries));
-      rc = 1;
-    }
     // The headline scaling gate: >= 2x events/s at 8 shards vs serial. Only
     // enforceable where the host can actually run 8 shard threads in
     // parallel — CI's required multi-core job owns this gate; small local
@@ -475,8 +385,6 @@ int Main(int argc, char** argv) {
   config["coro_rounds"] = static_cast<uint64_t>(300000);
   config["storm_iterations"] = mc.iterations;
   config["storm_seed"] = mc.seed;
-  config["shard_storm_events_per_cpu"] = storm_events_per_cpu;
-  config["shard_storm_lookahead"] = static_cast<uint64_t>(lookahead);
   config["protocol_storm_iterations"] = proto_iterations;
   report.Set("config", std::move(config));
 
@@ -486,8 +394,6 @@ int Main(int argc, char** argv) {
   virt["coro_frames"] = coro.frames;
   virt["storm_shootdowns"] = micro.shootdowns;
   virt["storm_early_acks"] = micro.early_acks;
-  virt["shard_storm_checksum"] = base.storm.timeline_checksum;
-  virt["shard_storm_events"] = base.storm.events_processed;
   virt["protocol_storm_checksum"] = proto_serial.storm.checksum;
   virt["protocol_storm_end_time"] = static_cast<uint64_t>(proto_serial.storm.end_time);
   virt["protocol_storm_events"] = proto_serial.storm.events_processed;
@@ -506,19 +412,6 @@ int Main(int argc, char** argv) {
   wall["allocs_per_event_steady"] = plain.allocs_per_event;
   wall["allocs_per_coro_frame_steady"] = coro.allocs_per_frame;
   wall["host_cores"] = static_cast<uint64_t>(std::thread::hardware_concurrency());
-  Json shard_wall = Json::Array();
-  for (const ShardPoint& p : sweep) {
-    Json w = Json::Object();
-    w["shards"] = p.shards;
-    w["seconds"] = p.seconds;
-    w["events_per_sec"] =
-        p.seconds > 0 ? static_cast<double>(p.storm.events_processed) / p.seconds : 0.0;
-    w["allocs_per_event"] = p.allocs_per_event;
-    w["speedup_vs_serial"] =
-        base.seconds > 0 && p.seconds > 0 ? base.seconds / p.seconds : 0.0;
-    shard_wall.Append(std::move(w));
-  }
-  wall["shard_sweep"] = std::move(shard_wall);
   Json proto_wall = Json::Array();
   {
     Json w = Json::Object();

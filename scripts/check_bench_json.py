@@ -182,63 +182,31 @@ def check_sim_throughput(path, doc):
             " expected exactly 0 (coroutine frame pool regressed)",
         )
 
-    # Shard-scaling sweep: every shard count must replay the identical
-    # timeline (the conservative-lookahead determinism contract), cross-shard
-    # traffic must actually flow, and nothing may violate the lookahead
-    # contract (clamped deliveries would mean nondeterministic delivery).
-    rows = {row.get("shards"): row for row in doc.get("rows", [])}
-    for shards in (1, 2, 4, 8):
-        if shards not in rows:
-            rc |= fail(path, f"shard sweep row for {shards} shards missing")
-    if rc:
-        return rc
-    base = rows[1]
-    if base.get("events_processed", 0) <= 0:
-        rc |= fail(path, "shard sweep: serial baseline processed no events")
-    for shards, row in sorted(rows.items()):
-        if row.get("timeline_checksum") != base.get("timeline_checksum") or row.get(
-            "events_processed"
-        ) != base.get("events_processed"):
-            rc |= fail(path, f"shard sweep: {shards} shards diverged from the serial replay")
-        if row.get("clamped_deliveries", 0) != 0:
-            rc |= fail(path, f"shard sweep: {shards} shards clamped deliveries")
-        if shards > 1 and row.get("cross_shard_messages", 0) <= 0:
-            rc |= fail(path, f"shard sweep: {shards} shards sent no cross-shard messages")
-        if not 0 <= row.get("horizon_stall_fraction", -1) <= 1:
-            rc |= fail(path, f"shard sweep: {shards} shards bad horizon_stall_fraction")
-
-    sweep_wall = {p.get("shards"): p for p in wall.get("shard_sweep", [])}
-    serial = sweep_wall.get(1, {})
-    if serial.get("events_per_sec", 0) <= 0:
-        rc |= fail(path, "wall.shard_sweep serial point missing or idle")
-    # The storm run allocates only during setup (engine pool growth, lanes)
-    # and per cross-shard delivery (mailed-id registry); amortized it must
-    # stay far below one allocation per event.
-    if serial.get("allocs_per_event", 1) > 0.01:
-        rc |= fail(
-            path,
-            f'shard sweep: serial allocs/event {serial.get("allocs_per_event")!r} > 0.01',
-        )
-    # The scaling gate proper: >= 2x aggregate events/s at 8 shards. Only
-    # meaningful with real parallelism under the pool, so it is conditional
-    # on the host actually having cores to scale onto.
+    # The protocol-shard scaling gate: >= 2x events/s for the confined
+    # protocol storm at 8 host threads vs the true-serial engine (the same
+    # check the binary makes in-process). Only meaningful with real
+    # parallelism under the pool, so it is armed on hosts with >= 4 cores.
     host_cores = wall.get("host_cores", 0)
-    speedup8 = sweep_wall.get(8, {}).get("speedup_vs_serial", 0)
+    proto = {
+        p.get("threads"): p for p in wall.get("protocol_sweep", []) if p.get("sharded")
+    }
+    speedup8 = proto.get(8, {}).get("speedup_vs_serial", 0)
     if host_cores >= 4:
         if speedup8 < 2.0:
             rc |= fail(
                 path,
-                f"shard sweep: 8-shard speedup {speedup8:.2f}x < 2x on a {host_cores}-core host",
+                f"protocol sweep: 8-thread speedup {speedup8:.2f}x < 2x on a "
+                f"{host_cores}-core host",
             )
     elif speedup8 <= 0:
-        rc |= fail(path, "shard sweep: 8-shard point missing")
+        rc |= fail(path, "protocol sweep: 8-thread point missing")
 
     if rc == 0:
         print(
             f"OK   {path}: status=pass, "
             f'{wall.get("events_per_sec", 0) / 1e6:.1f}M events/s, '
             "0 steady-state allocs/event, "
-            f"8-shard speedup {speedup8:.2f}x on {host_cores} cores"
+            f"8-thread protocol-shard speedup {speedup8:.2f}x on {host_cores} cores"
         )
     return rc
 

@@ -4,7 +4,7 @@ baseline.
 
 The sim_throughput bench reports its host-dependent results under "wall":
 engine events/s, coroutine frames/s, ns per simulated shootdown, and the
-shard/protocol scaling sweeps. This script compares a fresh run against the
+protocol-shard scaling sweep. This script compares a fresh run against the
 baseline under bench/baselines/ and WARNS when any tracked metric regressed
 by more than the threshold (10% by default). Wall-clock numbers vary across
 hosts, so the default mode never fails the build — it is a tripwire, not a
@@ -38,17 +38,6 @@ def walk(obj, path):
     return obj
 
 
-def sweep_rows(wall, key, id_key):
-    """Index a sweep array ([{id_key: ..., metrics...}]) by its id column."""
-    rows = wall.get(key, [])
-    out = {}
-    if isinstance(rows, list):
-        for row in rows:
-            if isinstance(row, dict) and id_key in row:
-                out[(row.get("sharded"), row[id_key])] = row
-    return out
-
-
 def collect(report):
     wall = report.get("wall", {})
     vals = {}
@@ -56,12 +45,8 @@ def collect(report):
         v = walk(wall, path)
         if isinstance(v, (int, float)) and v > 0:
             vals[label] = (float(v), higher)
-    # Per-point sweep throughput: shard storm events/s by shard count, and
-    # the protocol storm's events/s + ns/shootdown by (sharded, threads).
-    for row in wall.get("shard_sweep", []) or []:
-        v = row.get("events_per_sec")
-        if isinstance(v, (int, float)) and v > 0:
-            vals[f"shard_sweep events/s (shards={row.get('shards')})"] = (float(v), True)
+    # Per-point sweep throughput: the protocol storm's events/s and
+    # ns/shootdown by (sharded, threads).
     for row in wall.get("protocol_sweep", []) or []:
         tag = "serial" if not row.get("sharded") else f"threads={row.get('threads')}"
         v = row.get("events_per_sec")

@@ -13,7 +13,7 @@ but the C++ type system cannot state:
                 configure/aggregate context: construction, ConfigureBanks,
                 Snapshot between runs). Anything else is a latent cross-shard
                 race that no mutex will ever flag, because the ownership
-                discipline is the engine's window barrier, not a lock.
+                discipline is the engine's closed-shard phase, not a lock.
 
   layering      Include-direction DAG over src/ subdirectories. The checker
                 (src/check) is observational: nothing outside it may include

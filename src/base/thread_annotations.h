@@ -10,8 +10,8 @@
 //     raw std::lock_guard use is invisible to the analysis);
 //   - capability tokens     — CAPABILITY classes with no runtime state model
 //     ownership that is transferred by a barrier instead of a lock. The
-//     engine's per-queue shard window (Engine::Queue::cap) and the SPSC
-//     mailbox producer/consumer sides are tokens: Acquire()/Release() and
+//     engine's per-queue window (Engine::Queue::cap, handed to one host
+//     thread per parallel phase) is such a token: Acquire()/Release() and
 //     AssertHeld() compile to nothing, but any new code that touches
 //     GUARDED_BY(cap) state without the token is a compile error under
 //     -Wthread-safety (promoted to -Werror=thread-safety on clang builds,

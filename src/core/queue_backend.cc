@@ -238,7 +238,7 @@ bool QueueFlushBackend::AllAcked(SimCpu& cpu, const std::vector<int>& targets,
 Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, uint64_t end,
                                        int stride_shift, bool freed_tables) {
   // Socket-confinement contract (protocol-shard storms): see ShootdownEngine.
-  assert(!require_confined_ ||
+  assert(!check_confined_ ||
          mm.cpumask.OnlySocket() ==
              cpu.id() / kernel_->machine().topo().cpus_per_socket());
   ++StatsFor(cpu).flush_requests;

@@ -102,7 +102,7 @@ class QueueFlushBackend final : public TlbFlushBackend {
   void ConfigureBanks(int banks, int cpus_per_bank);
 
   // Debug contract check for socket-confined storms (see ShootdownEngine).
-  void set_require_confined(bool on) { require_confined_ = on; }
+  void set_check_confined(bool on) { check_confined_ = on; }
 
   // Deliberate protocol faults for tlbcheck validation (tests only).
   void set_fault_injection(const FaultInjection& fi) {
@@ -190,7 +190,7 @@ class QueueFlushBackend final : public TlbFlushBackend {
   std::vector<LineId> gen_lines_;          // tlblint: banked(socket) per-bank ticket cachelines
   std::vector<Stats> banks_{1};            // tlblint: banked(socket)
   int cpus_per_bank_ = 1 << 30;
-  bool require_confined_ = false;
+  bool check_confined_ = false;
   FaultInjection inject_;
 
   // Live observability handles (registered only when this backend exists, so

@@ -306,7 +306,7 @@ Co<void> ShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start, 
                                      int stride_shift, bool freed_tables) {
   // Socket-confinement contract (protocol-shard storms): the whole protocol
   // for this mm — targets, CFDs, acks — stays inside the initiator's socket.
-  assert(!require_confined_ ||
+  assert(!check_confined_ ||
          mm.cpumask.OnlySocket() ==
              cpu.id() / kernel_->machine().topo().cpus_per_socket());
   ++StatsFor(cpu).flush_requests;

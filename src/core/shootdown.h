@@ -86,15 +86,15 @@ class ShootdownEngine final : public TlbFlushBackend {
 
   // Protocol sharding: banks the counters and the protocol histograms
   // ("shootdown.*.socket<k>") by the acting CPU's socket, so protocol phases
-  // running concurrently in different shard windows never share a counter
+  // running concurrently in different shards never share a counter
   // word or interleave nondeterministically into one histogram reservoir.
   // banks <= 1 keeps the legacy flat shape and metric names.
   void ConfigureBanks(int banks, int cpus_per_bank);
 
   // Debug contract check for socket-confined storms: every FlushRange must
-  // find the mm's cpumask confined to the initiator's socket (TSan CI runs
-  // with this on).
-  void set_require_confined(bool on) { require_confined_ = on; }
+  // find the mm's cpumask confined to the initiator's socket (the protocol
+  // storm always runs with this on).
+  void set_check_confined(bool on) { check_confined_ = on; }
 
   // Deliberate protocol faults for tlbcheck validation (tests only).
   void set_fault_injection(const FaultInjection& fi) {
@@ -156,7 +156,7 @@ class ShootdownEngine final : public TlbFlushBackend {
   Kernel* kernel_;
   std::vector<Stats> banks_{1};  // tlblint: banked(socket)
   int cpus_per_bank_ = 1 << 30;
-  bool require_confined_ = false;
+  bool check_confined_ = false;
   FaultInjection inject_;
 
   // Live observability handles, resolved once in the ctor (the registry map

@@ -51,26 +51,18 @@ void CollectMachineMetrics(Machine& machine) {
   m.counter("engine.virtual_cycles").Set(static_cast<uint64_t>(machine.engine().now()));
   const Engine::ParallelStats par = machine.engine().parallel_stats();
   if (par.windows > 0) {
-    // Sharded-engine gauges, only once a parallel window actually ran.
+    // Sharded-engine gauges, only once a parallel phase actually ran.
     // Guarded: no figure bench shards its engine, so it never enters a
-    // window and its report stays byte-identical with the serial engine's.
+    // phase and its report stays byte-identical with the serial engine's.
     m.counter("engine.windows").Set(par.windows);
     m.counter("engine.shard_windows").Set(par.shard_windows);
     m.counter("engine.parallel_events").Set(par.parallel_events);
-    m.counter("engine.cross_shard_messages").Set(par.cross_shard_messages);
-    m.counter("engine.cross_shard_cancels").Set(par.cross_shard_cancels);
-    m.counter("engine.horizon_stalls").Set(par.horizon_stalls);
-    m.counter("engine.clamped_deliveries").Set(par.clamped_deliveries);
-    m.counter("engine.mailbox_overflows").Set(par.mailbox_overflows);
-    m.counter("engine.mailbox_high_water").Set(par.mailbox_high_water);
   }
   if (machine.protocol_shards_active()) {
     // Protocol-shard gauges (MachineConfig::shard_protocol). Guarded like the
-    // window gauges above: unsharded reports never see these names.
+    // phase gauges above: unsharded reports never see these names.
     m.counter("engine.protocol_shard_banks").Set(
         static_cast<uint64_t>(machine.topo().sockets));
-    m.counter("engine.protocol_shard_lookahead").Set(
-        static_cast<uint64_t>(machine.engine().lookahead()));
     m.counter("engine.protocol_shard_events").Set(par.parallel_events);
   }
   if (machine.config().numa.enabled()) {

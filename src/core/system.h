@@ -131,9 +131,9 @@ class System {
   // Debug contract check for socket-confined storms: asserts (debug builds)
   // that every shootdown's initiator and cpumask stay on one socket.
   void SetRequireConfined(bool on) {
-    shootdown_.set_require_confined(on);
+    shootdown_.set_check_confined(on);
     if (queue_) {
-      queue_->set_require_confined(on);
+      queue_->set_check_confined(on);
     }
   }
 

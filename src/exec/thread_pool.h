@@ -96,10 +96,10 @@ class ThreadPool {
 
 // Adapts ThreadPool to the engine's host-parallelism hook. The sim layer
 // cannot depend on exec/, so Engine only sees the Executor interface; the
-// sharded engine's window barrier is ThreadPool::Drain, whose mutex hand-off
-// provides the happens-before edge between shard windows and the
-// coordinator's mailbox drain (this is what keeps the parallel core
-// TSan-clean without any atomics in shard code).
+// Drain that ends a sharded engine's parallel phase is ThreadPool::Drain,
+// whose mutex hand-off provides the happens-before edge between the shard
+// runs and the coordinator reading their queues afterwards (this is what
+// keeps the parallel core TSan-clean without any atomics in shard code).
 class EngineExecutor final : public Engine::Executor {
  public:
   explicit EngineExecutor(ThreadPool& pool) : pool_(pool) {}

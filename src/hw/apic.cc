@@ -49,11 +49,7 @@ void Apic::Deliver(SimCpu& sender, int target, int vector) {
   Cycles wire = sender.rng().Jitter(WireLatency(sender.id(), target), costs_->jitter_frac);
   Cycles arrival = sender.now() + wire;
   SimCpu* cpu = cpus_.at(static_cast<size_t>(target));
-  if (shard_delivery_) {
-    engine_->ScheduleOnCpu(target, arrival, [cpu, vector] { cpu->RaiseIrq(vector); });
-  } else {
-    engine_->Schedule(arrival, [cpu, vector] { cpu->RaiseIrq(vector); });
-  }
+  engine_->ScheduleOnCpu(target, arrival, [cpu, vector] { cpu->RaiseIrq(vector); });
   ++BankFor(sender.id()).ipis_sent;
   Histogram* h = WireHistFor(sender.id());
   if (h != nullptr) {

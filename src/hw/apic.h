@@ -38,14 +38,15 @@ class Apic {
 
   // Protocol sharding: banks the send-side counters (and, when a registry is
   // attached, the wire histogram — "apic.ipi_wire_cycles.socket<k>") by the
-  // sender's socket so concurrent shard windows never share a counter word
+  // sender's socket so concurrently running shards never share a counter word
   // and histogram reservoirs fill in a deterministic per-socket order.
   // banks <= 1 keeps the legacy flat shape and metric names.
   void ConfigureBanks(int banks, int cpus_per_bank);
 
   // Sends `vector` to every CPU in `targets`. The sender pays one ICR write
   // per addressed cluster (or per target when multicast is disabled) inline
-  // on its local clock; deliveries are scheduled per-target with wire latency.
+  // on its local clock; deliveries are scheduled per-target with wire latency,
+  // on the target CPU's event shard (Engine::ScheduleOnCpu).
   void SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector);
 
   // Sends an NMI to a single CPU.
@@ -63,12 +64,6 @@ class Apic {
       b = Stats{};
     }
   }
-
-  // Protocol sharding: route each delivery onto the target CPU's event shard
-  // (ScheduleOnCpu) instead of the sender's current timeline. Off by default:
-  // the serial-protocol sharded mode relies on deliveries landing on the
-  // sender's timeline (the serial queue) exactly as the legacy engine did.
-  void set_shard_delivery(bool on) { shard_delivery_ = on; }
 
  private:
   Cycles WireLatency(int from, int to) const;
@@ -91,7 +86,6 @@ class Apic {
   const CostModel* costs_;
   std::vector<SimCpu*> cpus_;
   bool use_multicast_ = true;
-  bool shard_delivery_ = false;
   std::vector<Stats> banks_{1};         // tlblint: banked(socket)
   int cpus_per_bank_ = 1 << 30;
   MetricsRegistry* metrics_ = nullptr;

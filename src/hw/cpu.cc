@@ -117,11 +117,7 @@ void SimCpu::Spawn(SimTask task) {
     --scheduled_resumes_;
     handle.resume();
   };
-  if (shard_queue_) {
-    engine_->ScheduleOnCpu(id_, at, std::move(resume));
-  } else {
-    engine_->Schedule(at, std::move(resume));
-  }
+  engine_->ScheduleOnCpu(id_, at, std::move(resume));
 }
 
 void SimCpu::ScheduleResume(InlineFn fn) {
@@ -131,11 +127,7 @@ void SimCpu::ScheduleResume(InlineFn fn) {
     --scheduled_resumes_;
     fn();
   };
-  if (shard_queue_) {
-    engine_->ScheduleOnCpu(id_, at, std::move(resume));
-  } else {
-    engine_->Schedule(at, std::move(resume));
-  }
+  engine_->ScheduleOnCpu(id_, at, std::move(resume));
 }
 
 bool SimCpu::CanDeliver(int vector) const {
@@ -299,9 +291,7 @@ void SimCpu::ExecAwaitable::Arm() {
   started = cpu->now();
   armed_here = true;
   cpu->set_armed(this);
-  event = cpu->shard_queue()
-              ? cpu->engine()->ScheduleOnCpu(cpu->id(), started + remaining, [this] { Fire(); })
-              : cpu->engine()->Schedule(started + remaining, [this] { Fire(); });
+  event = cpu->engine()->ScheduleOnCpu(cpu->id(), started + remaining, [this] { Fire(); });
 }
 
 void SimCpu::ExecAwaitable::Fire() {

@@ -185,16 +185,12 @@ class SimCpu {
 
   // Schedules `fn` on this CPU's timeline and tracks it so the idle-delivery
   // logic knows the CPU is about to run (not truly idle).
+  //
+  // Every self-schedule (Spawn, resume kicks, Execute completions) goes
+  // through Engine::ScheduleOnCpu: on protocol shards it lands on the shard
+  // that owns this CPU, so socket-confined work never leaves its shard; on
+  // an unsharded engine it is the current timeline, exactly like Schedule.
   void ScheduleResume(InlineFn fn);
-
-  // Protocol sharding: when set, this CPU's self-schedules (Spawn, resume
-  // kicks, Execute completions) land on the event shard that owns the CPU via
-  // ScheduleOnCpu instead of the current timeline. Once a program runs inside
-  // its shard, everything it schedules follows it there, so socket-confined
-  // work never touches the serial queue. On an unsharded engine
-  // ScheduleOnCpu degenerates to Schedule, making the flag a no-op.
-  void set_shard_queue(bool on) { shard_queue_ = on; }
-  bool shard_queue() const { return shard_queue_; }
 
   void TracePhase(const char* tag) {
     if (trace_ != nullptr) {
@@ -272,7 +268,6 @@ class SimCpu {
   ArmedWait* armed_ = nullptr;
   std::vector<ArmedWait*> post_irq_waiters_;
   int scheduled_resumes_ = 0;  // continuations queued for this CPU
-  bool shard_queue_ = false;   // route self-schedules to this CPU's shard
   HwCheckSink* check_sink_ = nullptr;
 
   Stats stats_;

@@ -6,6 +6,29 @@
 
 namespace tlbsim {
 
+namespace {
+
+// The shard pool this host thread released last, kept for its next sharded
+// Machine. A protocol storm builds and drops one Machine per run; starting
+// and joining the shard threads per Machine would make each run's time
+// depend on how soon the host scheduler runs a newborn thread, and would
+// lose the frames that thread pooled (FramePool is per thread) at its exit.
+thread_local std::unique_ptr<ThreadPool> tl_parked_pool;
+
+std::unique_ptr<ThreadPool, ParkSimPool> TakeSimPool(int workers) {
+  if (tl_parked_pool != nullptr && tl_parked_pool->workers() == workers) {
+    return std::unique_ptr<ThreadPool, ParkSimPool>(tl_parked_pool.release());
+  }
+  return std::unique_ptr<ThreadPool, ParkSimPool>(new ThreadPool(workers));
+}
+
+}  // namespace
+
+void ParkSimPool::operator()(ThreadPool* pool) const {
+  pool->Drain();
+  tl_parked_pool.reset(pool);  // joins the threads of any pool parked before
+}
+
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       metrics_(config_.topo.num_cpus()),
@@ -17,7 +40,7 @@ Machine::Machine(const MachineConfig& config)
   if (config_.shard_protocol && config_.topo.sockets > 1) {
     if (config_.sim_threads > 1) {
       int threads = std::min(config_.sim_threads, config_.topo.sockets);
-      sim_pool_ = std::make_unique<ThreadPool>(threads - 1);
+      sim_pool_ = TakeSimPool(threads - 1);
       sim_executor_ = std::make_unique<EngineExecutor>(*sim_pool_);
     }
     pending_plan_.shards = config_.topo.sockets;
@@ -26,7 +49,6 @@ Machine::Machine(const MachineConfig& config)
       pending_plan_.shard_of_cpu[static_cast<size_t>(i)] = config_.topo.SocketOf(i);
     }
     pending_plan_.executor = sim_executor_.get();
-    pending_plan_.lookahead = config_.costs.ProtocolShardLookahead();
     protocol_pending_ = true;
   }
   apic_.set_metrics(&metrics_);
@@ -58,10 +80,6 @@ void Machine::ActivateProtocolShards() {
   int cps = config_.topo.cpus_per_socket();
   coherence_.ConfigureBanks(config_.topo.sockets, cps);
   apic_.ConfigureBanks(config_.topo.sockets, cps);
-  apic_.set_shard_delivery(true);
-  for (auto& c : cpus_) {
-    c->set_shard_queue(true);
-  }
   protocol_active_ = true;
   protocol_pending_ = false;
 }

@@ -23,6 +23,13 @@ namespace tlbsim {
 class ThreadPool;       // src/exec/thread_pool.h; owned here for protocol shards
 class EngineExecutor;   // adapter handing the pool to the engine
 
+// Deleter of a Machine's shard pool: parks the pool for the next sharded
+// Machine built on the releasing host thread instead of joining its
+// threads (see machine.cc).
+struct ParkSimPool {
+  void operator()(ThreadPool* pool) const;
+};
+
 struct MachineConfig {
   Topology topo;           // default: 2 sockets x 14 cores x 2 SMT
   CostModel costs;
@@ -38,15 +45,14 @@ struct MachineConfig {
   // the unsharded serial engine), then the workload calls
   // System::ActivateProtocolShards() / Machine::ActivateProtocolShards() on
   // the quiescent engine to split the heap and bank every protocol-state
-  // object per socket. The window width is costs.ProtocolShardLookahead()
-  // (IPI wire latency — with the coherence directory banked, an IPI is the
-  // only cross-socket edge left). Meaningful on multi-socket topologies
-  // only; off (default) keeps the single-heap engine, bit-identical to every
-  // pre-sharding report.
+  // object per socket. Shards are closed (src/sim/engine.h): the workload
+  // must keep every shootdown on one socket, as the protocol storm does.
+  // Meaningful on multi-socket topologies only; off (default) keeps the
+  // single-heap engine, bit-identical to every pre-sharding report.
   bool shard_protocol = false;
-  // Host threads running the protocol shards' windows (clamped to sockets).
-  // Only read when shard_protocol is on: 1 (default) runs every window
-  // inline on the calling thread, which is how the equality harness replays
+  // Host threads running the protocol shards (clamped to sockets). Only
+  // read when shard_protocol is on: 1 (default) runs every shard inline on
+  // the calling thread, which is how the equality harness replays
   // a sharded run deterministically.
   int sim_threads = 1;
 };
@@ -76,8 +82,7 @@ class Machine {
 
   // Protocol sharding, phase 2 (see MachineConfig::shard_protocol): splits
   // the quiescent engine into per-socket shards and banks the machine-owned
-  // protocol state (coherence directory, APIC counters + delivery, per-CPU
-  // self-schedule routing). Kernel/backend banks are the kernel layer's to
+  // protocol state (coherence directory, APIC counters). Kernel/backend banks are the kernel layer's to
   // configure — System::ActivateProtocolShards() does both. No-op unless the
   // config asked for protocol sharding; idempotent.
   void ActivateProtocolShards();
@@ -89,11 +94,11 @@ class Machine {
 
  private:
   MachineConfig config_;
-  // Host threads backing the protocol shards' windows (shard_protocol with
+  // Host threads backing the protocol shards (shard_protocol with
   // sim_threads > 1 on a multi-socket topology only); declared before
-  // engine_ so the executor outlives every window the engine could still
+  // engine_ so the executor outlives every phase the engine could still
   // reference.
-  std::unique_ptr<ThreadPool> sim_pool_;
+  std::unique_ptr<ThreadPool, ParkSimPool> sim_pool_;
   std::unique_ptr<EngineExecutor> sim_executor_;
   Engine engine_;
   Trace trace_;

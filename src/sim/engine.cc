@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace tlbsim {
@@ -16,15 +18,14 @@ Engine::Engine() {
 }
 
 void Engine::ConfigureSharding(ShardPlan plan) {
-  // Single-threaded setup: no windows have run, so the caller's thread is
-  // the coordinator and owns every queue it is about to create.
+  // Single-threaded setup: no phase has run, so the caller's thread is the
+  // coordinator and owns every queue it is about to create.
   main_queue_->cap.AssertHeld();
   // Quiescent, not necessarily fresh: a setup phase may have run serially
   // (and advanced the clock) as long as no event is pending when the queues
   // split — new shards inherit the serial clock so causality holds.
   assert(queues_.size() == 1 && main_queue_->heap.empty() &&
          "sharding must be configured on a quiescent engine");
-  lookahead_ = std::max<Cycles>(1, plan.lookahead);
   if (plan.shards <= 1) {
     return;  // unsharded: ScheduleOnCpu degenerates to Schedule
   }
@@ -39,27 +40,17 @@ void Engine::ConfigureSharding(ShardPlan plan) {
     q->now = main_queue_->now;
     queues_.push_back(std::move(q));
   }
-  for (auto& qp : queues_) {
-    qp->cap.AssertHeld();  // still single-threaded setup
-    qp->track_mailed = true;
-    qp->next_pair_seq.assign(static_cast<size_t>(nq), 1);
-    qp->drained_seq.assign(static_cast<size_t>(nq), 0);
-  }
   queue_of_cpu_.resize(plan.shard_of_cpu.size());
   for (size_t c = 0; c < plan.shard_of_cpu.size(); ++c) {
     assert(plan.shard_of_cpu[c] >= 0 && plan.shard_of_cpu[c] < plan.shards);
     queue_of_cpu_[c] = static_cast<uint8_t>(plan.shard_of_cpu[c] + 1);
   }
-  mail_.reserve(static_cast<size_t>(nq) * static_cast<size_t>(nq));
-  for (int i = 0; i < nq * nq; ++i) {
-    mail_.push_back(std::make_unique<SpscMailbox<CrossMsg>>());
-  }
 }
 
 Engine::EventId Engine::Schedule(Cycles at, InlineFn fn) {
   Queue& q = CurrentQueue();
-  // The current timeline's window belongs to this thread: RunWindow's tls
-  // hand-off inside windows, coordinator ownership outside them.
+  // The current timeline belongs to this thread: the phase hand-off in
+  // RunQueue inside a phase, coordinator ownership outside one.
   q.cap.AssertHeld();
   uint32_t slot = AllocSlot(q);
   FnAt(q, slot) = std::move(fn);
@@ -67,22 +58,32 @@ Engine::EventId Engine::Schedule(Cycles at, InlineFn fn) {
 }
 
 Engine::EventId Engine::ScheduleOnCpu(int cpu, Cycles at, InlineFn fn) {
-  Queue& dst = QueueForCpu(cpu);
-  Queue& cur = CurrentQueue();
-  // Window ownership as in Schedule(); see the template overload.
-  cur.cap.AssertHeld();
-  if (&dst == &cur || !in_parallel_phase_) {
-    // Outside a parallel phase the coordinator owns every queue's window.
-    dst.cap.AssertHeld();
-    if (&dst != &cur && at < dst.now) {
-      at = dst.now;  // lookahead-contract violator: clamp, never time-travel
-      ++dst.clamped;
-    }
-    uint32_t slot = AllocSlot(dst);
-    FnAt(dst, slot) = std::move(fn);
-    return Enqueue(dst, at, slot);
+  Queue& dst = TargetQueue(cpu, at);
+  // Ownership as in the template overload.
+  dst.cap.AssertHeld();
+  uint32_t slot = AllocSlot(dst);
+  FnAt(dst, slot) = std::move(fn);
+  return Enqueue(dst, at, slot);
+}
+
+void Engine::CheckForeignInsert(const Queue& cur, Queue& dst, Cycles at) const {
+  if (in_parallel_phase_) {
+    std::fprintf(stderr,
+                 "tlbsim engine: queue %d scheduled onto queue %d during a parallel phase; "
+                 "shards are closed while they run\n",
+                 cur.index, dst.index);
+    std::abort();
   }
-  return MailSchedule(cur, dst, at, std::move(fn));
+  // Between phases the coordinator owns every queue.
+  dst.cap.AssertHeld();
+  if (at < dst.now) {
+    std::fprintf(stderr,
+                 "tlbsim engine: queue %d scheduled onto queue %d at %lld, behind its clock "
+                 "%lld\n",
+                 cur.index, dst.index, static_cast<long long>(at),
+                 static_cast<long long>(dst.now));
+    std::abort();
+  }
 }
 
 uint32_t Engine::AllocSlot(Queue& q) {
@@ -103,9 +104,6 @@ uint32_t Engine::AllocSlot(Queue& q) {
     }
     q.pos.push_back(-1);
     q.gen.push_back(0);
-    if (q.track_mailed) {
-      q.mailed_tag.push_back(0);
-    }
   }
   assert(slot <= kSlotMask && "too many concurrent events");
   return slot;
@@ -122,56 +120,8 @@ Engine::EventId Engine::Enqueue(Queue& q, Cycles at, uint32_t slot) {
   return MakeId(q.gen[slot], q.index, slot);
 }
 
-Engine::EventId Engine::MailSchedule(Queue& src, Queue& dst, Cycles at, InlineFn fn) {
-  assert(at >= src.now && "scheduling into the past");
-  uint64_t seq = src.next_pair_seq[static_cast<size_t>(dst.index)]++;
-  assert(seq <= kPairSeqMask && "cross-shard pair seq overflow");
-  ++src.cross_msgs;
-  if (src.window_first_send == kNever) {
-    src.window_first_send = src.now;  // shrinks this window's dynamic limit
-  }
-  CrossMsg m;
-  m.at = at;
-  m.seq = seq;
-  m.fn = std::move(fn);
-  SpscMailbox<CrossMsg>& mb = MailboxFor(src.index, dst.index);
-  // The window barrier hands every mailbox out of src to the host thread
-  // running src's window (this one — the caller holds src.cap).
-  mb.producer_side().AssertHeld();
-  mb.Push(std::move(m));
-  return MakeMailedId(src.index, dst.index, seq);
-}
-
-void Engine::MailCancel(Queue& src, Queue& dst, EventId victim) {
-  ++src.cross_cancels;
-  CrossMsg m;
-  m.cancel_id = victim;
-  SpscMailbox<CrossMsg>& mb = MailboxFor(src.index, dst.index);
-  // Producer end owned by src's window thread, as in MailSchedule.
-  mb.producer_side().AssertHeld();
-  mb.Push(std::move(m));
-}
-
 void Engine::Cancel(EventId id) {
   if (id == kInvalidEvent) {
-    return;
-  }
-  if ((id & kMailedBit) != 0) {
-    int dst = static_cast<int>((id >> kPairSeqBits) & kQueueMask);
-    if (static_cast<size_t>(dst) >= queues_.size()) {
-      return;
-    }
-    Queue& qd = *queues_[static_cast<size_t>(dst)];
-    Queue& cur = CurrentQueue();
-    // Window ownership as in Schedule(); the caller's timeline is ours.
-    cur.cap.AssertHeld();
-    if (!in_parallel_phase_ || &qd == &cur) {
-      // Same timeline, or coordinator context owning every queue.
-      qd.cap.AssertHeld();
-      ApplyCancel(qd, id);
-    } else {
-      MailCancel(cur, qd, id);
-    }
     return;
   }
   int qi = static_cast<int>((id >> kDirectSlotBits) & kQueueMask);
@@ -180,18 +130,15 @@ void Engine::Cancel(EventId id) {
   }
   Queue& q = *queues_[static_cast<size_t>(qi)];
   Queue& cur = CurrentQueue();
-  // Window ownership as in Schedule(); the caller's timeline is ours.
-  cur.cap.AssertHeld();
-  if (!in_parallel_phase_ || &q == &cur) {
-    // Same timeline, or coordinator context owning every queue.
-    q.cap.AssertHeld();
-    CancelLocal(q, id);
-  } else {
-    MailCancel(cur, q, id);
+  if (&q != &cur && in_parallel_phase_) {
+    std::fprintf(stderr,
+                 "tlbsim engine: queue %d cancelled an event of queue %d during a parallel "
+                 "phase; shards are closed while they run\n",
+                 cur.index, q.index);
+    std::abort();
   }
-}
-
-void Engine::CancelLocal(Queue& q, EventId id) {
+  // Own timeline, or the coordinator between phases, owning every queue.
+  q.cap.AssertHeld();
   uint32_t slot = (static_cast<uint32_t>(id) & ((1u << kDirectSlotBits) - 1)) - 1;
   uint32_t gen = static_cast<uint32_t>(id >> 32);
   if (slot >= q.pool_size) {
@@ -263,10 +210,6 @@ void Engine::FreeSlot(Queue& q, uint32_t slot) {
   FnAt(q, slot) = InlineFn();
   q.pos[slot] = -1;
   ++q.gen[slot];  // invalidate any EventId still referring to this slot
-  if (q.track_mailed && q.mailed_tag[slot] != 0) {
-    q.mailed.erase(q.mailed_tag[slot]);
-    q.mailed_tag[slot] = 0;
-  }
   q.free.push_back(slot);
 }
 
@@ -306,214 +249,64 @@ void Engine::Step(Queue& q) {
   FreeSlot(q, slot);
 }
 
-void Engine::RunWindow(Queue& q, Cycles bound) {
+void Engine::RunQueue(Queue& q, Cycles deadline) {
   Queue* prev = tls_queue_;
   tls_queue_ = &q;
-  // Barrier-transferred ownership: between the Submit that scheduled this
-  // call and the executor Drain that follows it, this host thread is the
-  // only one touching q (RunParallelPhase hands each queue to exactly one
-  // task per round; inline callers are the coordinator itself).
+  // Phase-transferred ownership: between the Submit that scheduled this
+  // call and the executor Drain that ends the phase, this host thread is
+  // the only one touching q (RunParallelPhase hands each queue to exactly
+  // one task; inline callers are the coordinator itself).
   q.cap.Acquire();
-  q.window_first_send = kNever;
-  // The dynamic limit: once this queue performs a cross-shard send at
-  // virtual time f, it must not run past f + lookahead — a contract-
-  // respecting reply to that send lands at >= f + lookahead, and running
-  // further would put the reply in our past. Windows bounded by
-  // T + lookahead never trip this (f >= T); it only bites in extended
-  // single-queue windows, which is exactly what makes those safe.
-  Cycles limit = bound;
-  while (!q.heap.empty() && q.heap[0].at < limit) {
+  while (!q.heap.empty() && q.heap[0].at <= deadline) {
     Step(q);
-    if (q.window_first_send != kNever) {
-      Cycles dyn = SatAdd(q.window_first_send, lookahead_);
-      if (dyn < limit) {
-        limit = dyn;
-      }
-    }
   }
   q.cap.Release();
   tls_queue_ = prev;
 }
 
-bool Engine::RunParallelPhase(Cycles deadline) {
+void Engine::RunParallelPhase(Cycles deadline) {
   assert(sharded());
   assert(!in_parallel_phase_);
   in_parallel_phase_ = true;
   const size_t nq = queues_.size();
-  for (;;) {
-    // Window base T = earliest event anywhere; m2 = second-earliest head,
-    // used to widen single-queue windows.
-    Cycles m1 = kNever;
-    Cycles m2 = kNever;
-    for (const auto& qp : queues_) {
-      // Between barriers every worker is parked in the executor, so the
-      // coordinator owns every queue's window.
-      qp->cap.AssertHeld();
-      if (qp->heap.empty()) {
-        continue;
-      }
-      Cycles h = qp->heap[0].at;
-      if (h < m1) {
-        m2 = m1;
-        m1 = h;
-      } else if (h < m2) {
-        m2 = h;
-      }
+  uint64_t shards_run = 0;
+  for (size_t i = 1; i < nq; ++i) {
+    Queue& q = *queues_[i];
+    // Safe pre-submit read: q has not been handed out yet, and no other
+    // queue's run ever touches it.
+    q.cap.AssertHeld();
+    if (q.heap.empty() || q.heap[0].at > deadline) {
+      continue;
     }
-    if (m1 == kNever || m1 > deadline) {
-      break;  // drained, or nothing left at or before the deadline
-    }
-    Cycles bound = SatAdd(m1, lookahead_);
-    if (m2 >= bound) {
-      // Only one queue can run before anyone else's head: let it advance
-      // all the way to the next head (its RunWindow dynamic limit keeps
-      // cross-shard sends safe). m2 == kNever runs the queue to empty.
-      bound = m2;
-    }
-    if (deadline != kNever) {
-      bound = std::min(bound, SatAdd(deadline, 1));
-    }
-    int shard_jobs = 0;
-    for (size_t i = 1; i < nq; ++i) {
-      Queue& q = *queues_[i];
-      // Safe pre-submit read: q's own window task has not been handed out
-      // yet this round, and other queues' windows never touch q (cross-
-      // shard traffic rides the mailboxes).
-      q.cap.AssertHeld();
-      if (q.heap.empty()) {
-        continue;
-      }
-      if (q.heap[0].at >= bound) {
-        ++stat_horizon_stalls_;  // has work, blocked on neighbors' horizon
-        continue;
-      }
-      ++stat_shard_windows_;
-      ++shard_jobs;
-      if (executor_ != nullptr) {
-        Queue* qp = &q;
-        executor_->Submit(InlineFn([this, qp, bound] { RunWindow(*qp, bound); }));
-      } else {
-        RunWindow(q, bound);
-      }
-    }
-    Queue& q0 = *main_queue_;
-    q0.cap.AssertHeld();  // q0's window only ever runs on the coordinator
-    if (!q0.heap.empty() && q0.heap[0].at < bound) {
-      RunWindow(q0, bound);  // the coordinator participates
-    }
-    if (executor_ != nullptr && shard_jobs > 0) {
-      executor_->Drain();  // the window barrier
-    }
-    ++stat_windows_;
-    DrainMailboxes();
-    size_t pending = 0;
-    for (size_t i = 1; i < nq; ++i) {
-      queues_[i]->cap.AssertHeld();  // post-Drain: coordinator owns all
-      pending += queues_[i]->heap.size();
-    }
-    parallel_pending_ = pending;
-    if (pending == 0) {
-      in_parallel_phase_ = false;
-      return true;  // shards drained; the serial fast loop takes over
+    ++shards_run;
+    if (executor_ != nullptr) {
+      Queue* qp = &q;
+      executor_->Submit(InlineFn([this, qp, deadline] { RunQueue(*qp, deadline); }));
+    } else {
+      RunQueue(q, deadline);
     }
   }
+  RunQueue(*main_queue_, deadline);  // the coordinator runs the serial queue
+  if (executor_ != nullptr && shards_run > 0) {
+    executor_->Drain();  // ends the phase
+  }
+  if (shards_run > 0) {
+    ++stat_windows_;
+    stat_shard_windows_ += shards_run;
+  }
+  in_parallel_phase_ = false;
   size_t pending = 0;
   for (size_t i = 1; i < nq; ++i) {
     queues_[i]->cap.AssertHeld();  // post-Drain: coordinator owns all
     pending += queues_[i]->heap.size();
   }
   parallel_pending_ = pending;
-  in_parallel_phase_ = false;
-  return pending == 0;
-}
-
-void Engine::DrainMailboxes() {
-  const size_t nq = queues_.size();
-  for (size_t dst = 0; dst < nq; ++dst) {
-    Queue& qd = *queues_[dst];
-    // Runs only at the window barrier (after executor Drain): the
-    // coordinator owns every queue and both ends of every mailbox.
-    qd.cap.AssertHeld();
-    bool any = false;
-    for (size_t src = 0; src < nq; ++src) {
-      if (src == dst) {
-        continue;
-      }
-      SpscMailbox<CrossMsg>& mb = MailboxFor(static_cast<int>(src), static_cast<int>(dst));
-      mb.producer_side().AssertHeld();  // producers parked at the barrier
-      mb.consumer_side().AssertHeld();  // draining is the coordinator's job
-      mb.Drain([&](CrossMsg m) {
-        qd.cap.AssertHeld();  // lambda body runs inline under the barrier
-        any = true;
-        if (m.cancel_id != kInvalidEvent) {
-          ApplyCancel(qd, m.cancel_id);
-        } else {
-          ApplyCrossSchedule(qd, static_cast<int>(src), std::move(m));
-        }
-      });
-    }
-    if (any && !qd.pending_cancels.empty()) {
-      // Drop pending cancels whose victim has already arrived (and so fired
-      // or been cancelled): the drained watermark covers their seq. The
-      // erase-if predicate is per-element, so iteration order is
-      // unobservable.
-      auto it = qd.pending_cancels.begin();
-      while (it != qd.pending_cancels.end()) {  // det-ok: order-independent erase-if
-        uint64_t vseq = *it & kPairSeqMask;
-        int vsrc = static_cast<int>((*it >> (kQueueBits + kPairSeqBits)) & kQueueMask);
-        if (vseq <= qd.drained_seq[static_cast<size_t>(vsrc)]) {
-          it = qd.pending_cancels.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-}
-
-void Engine::ApplyCrossSchedule(Queue& dst, int src, CrossMsg msg) {
-  dst.drained_seq[static_cast<size_t>(src)] = msg.seq;
-  EventId mailed_id = MakeMailedId(src, dst.index, msg.seq);
-  auto pc = dst.pending_cancels.find(mailed_id);
-  if (pc != dst.pending_cancels.end()) {
-    dst.pending_cancels.erase(pc);
-    return;  // cancelled in flight: never materializes
-  }
-  Cycles at = msg.at;
-  if (at < dst.now) {
-    at = dst.now;  // lookahead-contract violator (see ScheduleOnCpu)
-    ++dst.clamped;
-  }
-  uint32_t slot = AllocSlot(dst);
-  FnAt(dst, slot) = std::move(msg.fn);
-  EventId direct = Enqueue(dst, at, slot);
-  dst.mailed_tag[slot] = mailed_id;
-  dst.mailed.emplace(mailed_id, direct);
-}
-
-void Engine::ApplyCancel(Queue& dst, EventId victim) {
-  if ((victim & kMailedBit) != 0) {
-    assert(static_cast<int>((victim >> kPairSeqBits) & kQueueMask) == dst.index);
-    auto it = dst.mailed.find(victim);
-    if (it != dst.mailed.end()) {
-      CancelLocal(dst, it->second);  // FreeSlot clears the mailed entries
-      return;
-    }
-    uint64_t vseq = victim & kPairSeqMask;
-    int vsrc = static_cast<int>((victim >> (kQueueBits + kPairSeqBits)) & kQueueMask);
-    if (vseq > dst.drained_seq[static_cast<size_t>(vsrc)]) {
-      dst.pending_cancels.insert(victim);  // cancel beat its victim's arrival
-    }
-    // else: victim already arrived and fired/cancelled — late-cancel no-op.
-    return;
-  }
-  CancelLocal(dst, victim);
 }
 
 Cycles Engine::Run() {
   Queue& q0 = *main_queue_;
   // Outside parallel phases the calling thread is the only one running the
-  // engine, so it owns every queue's window.
+  // engine, so it owns every queue.
   q0.cap.AssertHeld();
   if (!sharded()) {
     while (!q0.heap.empty()) {
@@ -521,14 +314,11 @@ Cycles Engine::Run() {
     }
     return q0.now;
   }
-  for (;;) {
-    while (parallel_pending_ == 0 && !q0.heap.empty()) {
-      Step(q0);
-    }
-    if (parallel_pending_ == 0) {
-      break;
-    }
-    RunParallelPhase(kNever);
+  while (parallel_pending_ == 0 && !q0.heap.empty()) {
+    Step(q0);
+  }
+  if (parallel_pending_ != 0) {
+    RunParallelPhase(kNever);  // closed shards: one phase drains every queue
   }
   Cycles end = q0.now;
   for (const auto& qp : queues_) {
@@ -541,7 +331,7 @@ Cycles Engine::Run() {
 bool Engine::RunUntil(Cycles deadline) {
   Queue& q0 = *main_queue_;
   // Outside parallel phases the calling thread is the only one running the
-  // engine, so it owns every queue's window.
+  // engine, so it owns every queue.
   q0.cap.AssertHeld();
   if (!sharded()) {
     while (!q0.heap.empty() && q0.heap[0].at <= deadline) {
@@ -553,16 +343,11 @@ bool Engine::RunUntil(Cycles deadline) {
     q0.now = deadline;
     return false;
   }
-  for (;;) {
-    while (parallel_pending_ == 0 && !q0.heap.empty() && q0.heap[0].at <= deadline) {
-      Step(q0);
-    }
-    if (parallel_pending_ == 0) {
-      break;
-    }
-    if (!RunParallelPhase(deadline)) {
-      break;  // everything left lies beyond the deadline
-    }
+  while (parallel_pending_ == 0 && !q0.heap.empty() && q0.heap[0].at <= deadline) {
+    Step(q0);
+  }
+  if (parallel_pending_ != 0) {
+    RunParallelPhase(deadline);
   }
   if (empty()) {
     return true;
@@ -606,21 +391,10 @@ Engine::ParallelStats Engine::parallel_stats() const {
   ParallelStats s;
   s.windows = stat_windows_;
   s.shard_windows = stat_shard_windows_;
-  s.horizon_stalls = stat_horizon_stalls_;
-  for (size_t i = 0; i < queues_.size(); ++i) {
+  for (size_t i = 1; i < queues_.size(); ++i) {
     const Queue& q = *queues_[i];
     q.cap.AssertHeld();  // called between runs: coordinator owns all
-    if (i != 0) {
-      s.parallel_events += q.events_processed;
-    }
-    s.cross_shard_messages += q.cross_msgs;
-    s.cross_shard_cancels += q.cross_cancels;
-    s.clamped_deliveries += q.clamped;
-  }
-  for (const auto& mb : mail_) {
-    mb->producer_side().AssertHeld();  // quiescent engine: no producer active
-    s.mailbox_overflows += mb->overflowed();
-    s.mailbox_high_water = std::max<uint64_t>(s.mailbox_high_water, mb->high_water());
+    s.parallel_events += q.events_processed;
   }
   return s;
 }

@@ -1,5 +1,5 @@
 // Discrete-event simulation engine: a serial global timeline plus optional
-// per-socket event-heap shards synchronized by conservative lookahead.
+// per-socket event-queue shards that run to completion in parallel.
 //
 // The engine owns event queues ordered by virtual time (Cycles) with FIFO
 // tie-breaking for determinism. Simulated CPUs keep *local* clocks that may
@@ -21,32 +21,31 @@
 //     sift comparisons never chase into the pool.
 //
 // Sharded mode (ConfigureSharding): queue 0 is the *serial* timeline — every
-// plain Schedule() from outside a shard window lands there, exactly as in the
+// plain Schedule() from outside a shard lands there, exactly as in the
 // unsharded engine — and queues 1..S are per-socket shards fed through
-// ScheduleOnCpu(). Shards advance in lockstep *windows*: with T the earliest
-// pending event anywhere and L the lookahead (the cheapest cross-socket
-// interaction in the cost model), every queue may run its events with
-// `at < T + L` concurrently on host threads, because no message sent during
-// the window can demand delivery before T + L. Cross-shard schedules travel
-// through per-(src,dst) SPSC mailboxes drained at the window barrier in fixed
-// (dst, src, FIFO) order with receiver-assigned sequence numbers — so results
-// are bit-identical for any shard/thread count, provided senders respect the
-// lookahead contract: a cross-shard ScheduleOnCpu must target
-// `at >= now() + lookahead()`. Contract violators are not wrong, just
-// conservative: delivery is clamped forward to the receiver's clock and
-// counted in ParallelStats::clamped_deliveries.
+// ScheduleOnCpu(). Shards are *closed*: once a shard holds work, nothing
+// outside it may touch its events until it has run out of them. The serial
+// loop runs queue 0 until some shard has a pending event, then starts a
+// parallel phase: each non-empty shard is handed to the executor once, the
+// coordinator runs queue 0, every queue runs until it is empty or reaches the
+// RunUntil deadline, and one executor Drain ends the phase. A phase has no
+// internal barrier, so there is no channel between queues: a cross-queue
+// ScheduleOnCpu or Cancel during a phase aborts with a message naming both
+// queues, in every build type. So does a coordinator insert, between phases,
+// behind a shard's clock — that event would run in the shard's past. Within
+// the contract the result is the serial engine's, bit for bit, at any shard
+// and host-thread count: each queue fires exactly its own events in (at,
+// seq) order, and no event can observe another queue.
 //
-// Protocol sharding (MachineConfig::shard_protocol): the shootdown protocol
-// itself — kernel entry, mm_cpumask scan, coherence directory, APIC delivery
-// and ack — can also run on shard queues, provided every protocol-state
-// object it touches is confined to one socket. The supporting state is
-// banked per socket (SocketMask cpumask words, CoherenceModel banks, per-
-// socket stats/histograms in the shootdown backends), so a storm whose mms
-// and pages never cross sockets executes the entire IPI send -> remote flush
-// -> ack chain inside one shard window with zero cross-shard traffic. Mixed
-// workloads keep working: anything non-confined pays cross-shard mailbox
-// hops, still bit-identical at any --sim-threads. See docs/ARCHITECTURE.md
-// "Sharded protocol state".
+// Protocol sharding (MachineConfig::shard_protocol) is the one user: the
+// shootdown protocol itself — kernel entry, mm_cpumask scan, coherence
+// directory, APIC delivery and ack — runs on the shard queues, which is
+// sound because every protocol-state object a socket-confined storm touches
+// is banked per socket (SocketMask cpumask words, CoherenceModel banks, per-
+// socket stats/histograms in the shootdown backends). Such a storm executes
+// its entire IPI send -> remote flush -> ack chain inside one shard, so the
+// whole measured run is one phase. See docs/ARCHITECTURE.md "Sharded
+// protocol state".
 #ifndef TLBSIM_SRC_SIM_ENGINE_H_
 #define TLBSIM_SRC_SIM_ENGINE_H_
 
@@ -55,14 +54,11 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/base/thread_annotations.h"
 #include "src/sim/inline_fn.h"
-#include "src/sim/mailbox.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
@@ -71,12 +67,12 @@ namespace tlbsim {
 // Ownership token for one event queue's window: the right to run, mutate
 // and read that queue's event state. Zero runtime cost. Exactly one host
 // thread holds a given queue's token at any instant — either the thread
-// RunWindow() assigned the queue to (the ThreadPool::Drain barrier is the
-// hand-off edge), or the coordinator, which owns every queue outside
-// parallel phases. Engine functions that touch per-queue state carry
-// REQUIRES(q.cap); contexts whose ownership comes from a barrier rather
-// than a call chain re-establish it with AssertHeld() plus a comment naming
-// the barrier. See docs/CHECKING.md § Static analysis.
+// RunParallelPhase() handed the queue to (the ThreadPool::Drain that ends
+// the phase is the hand-back edge), or the coordinator, which owns every
+// queue outside parallel phases. Engine functions that touch per-queue
+// state carry REQUIRES(q.cap); contexts whose ownership comes from a
+// barrier rather than a call chain re-establish it with AssertHeld() plus a
+// comment naming the barrier. See docs/CHECKING.md § Static analysis.
 class CAPABILITY("engine queue window") WindowCap {
  public:
   void Acquire() const ACQUIRE(this) {}
@@ -89,15 +85,15 @@ class Engine {
   using EventId = uint64_t;
   static constexpr EventId kInvalidEvent = 0;
   // Queue count ceiling (serial queue + shards): bounded by the 7-bit queue
-  // fields in EventIds and the uint64 window bookkeeping.
+  // field in EventIds.
   static constexpr int kMaxQueues = 64;
 
-  // Host-execution hook for parallel windows. Implemented by an adapter over
+  // Host-execution hook for parallel phases. Implemented by an adapter over
   // src/exec/thread_pool (see EngineExecutor there); defined as an interface
   // here so the sim layer does not depend on exec. Submit() enqueues a task
-  // for any worker; Drain() blocks until all submitted tasks finished and is
-  // the window barrier (it must establish happens-before between the tasks
-  // and the caller).
+  // for any worker; Drain() blocks until all submitted tasks finished and
+  // ends the phase (it must establish happens-before between the tasks and
+  // the caller).
   class Executor {
    public:
     virtual ~Executor() = default;
@@ -109,20 +105,13 @@ class Engine {
   struct ShardPlan {
     int shards = 1;                  // event shards (<=1: stay unsharded)
     std::vector<int> shard_of_cpu;   // cpu -> shard in [0, shards)
-    Cycles lookahead = 1;            // conservative window width, >= 1
-    Executor* executor = nullptr;    // borrowed; null runs windows inline
+    Executor* executor = nullptr;    // borrowed; null runs shards inline
   };
 
   struct ParallelStats {
-    uint64_t windows = 0;               // barrier rounds executed
-    uint64_t shard_windows = 0;         // per-shard window activations
-    uint64_t parallel_events = 0;       // events fired in shard queues
-    uint64_t cross_shard_messages = 0;  // schedules that crossed shards
-    uint64_t cross_shard_cancels = 0;   // cancels that crossed shards
-    uint64_t horizon_stalls = 0;        // non-empty shard couldn't enter a window
-    uint64_t clamped_deliveries = 0;    // contract-violating sends delayed
-    uint64_t mailbox_overflows = 0;     // messages that spilled past the ring
-    uint64_t mailbox_high_water = 0;    // peak ring occupancy across mailboxes
+    uint64_t windows = 0;          // parallel phases that ran a shard
+    uint64_t shard_windows = 0;    // shard runs handed out across all phases
+    uint64_t parallel_events = 0;  // events fired in shard queues
   };
 
   Engine();
@@ -137,8 +126,6 @@ class Engine {
   void ConfigureSharding(ShardPlan plan);
 
   bool sharded() const { return queues_.size() > 1; }
-  int num_shards() const { return static_cast<int>(queues_.size()) - 1; }
-  Cycles lookahead() const { return lookahead_; }
 
   // Aggregated sharding counters. Call between runs (quiescent engine).
   ParallelStats parallel_stats() const;
@@ -154,8 +141,8 @@ class Engine {
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFn>>>
   EventId Schedule(Cycles at, F&& f) {
     Queue& q = CurrentQueue();
-    // The current timeline's window belongs to this thread: RunWindow's tls
-    // hand-off inside windows, coordinator ownership outside them.
+    // The current timeline belongs to this thread: the phase hand-off in
+    // RunQueue inside a phase, coordinator ownership outside one.
     q.cap.AssertHeld();
     uint32_t slot = AllocSlot(q);
     FnAt(q, slot).Emplace(std::forward<F>(f));
@@ -173,43 +160,27 @@ class Engine {
     return Schedule(now() + delay, std::forward<F>(f));
   }
 
-  // Schedules `fn` on the event shard that owns `cpu` (the serial queue when
-  // unsharded). From a different shard this is a cross-shard send: exact
-  // when `at >= now() + lookahead()`, conservatively delayed otherwise.
+  // Schedules `fn` on the event shard that owns `cpu` (the current queue
+  // when unsharded, so it then behaves exactly like Schedule). Targeting
+  // another queue aborts during a parallel phase, and between phases aborts
+  // when `at` lies behind that queue's clock.
   EventId ScheduleOnCpu(int cpu, Cycles at, InlineFn fn);
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFn>>>
   EventId ScheduleOnCpu(int cpu, Cycles at, F&& f) {
-    Queue& dst = QueueForCpu(cpu);
-    Queue& cur = CurrentQueue();
-    // The current timeline's window belongs to this thread (tls hand-off in
-    // RunWindow; the coordinator owns queue 0 outside parallel phases).
-    cur.cap.AssertHeld();
-    if (&dst == &cur || !in_parallel_phase_) {
-      // Direct insert (same timeline, or coordinator context with every
-      // other thread parked). A foreign queue's clock may already sit past
-      // `at` — possible only for lookahead-contract violators — so clamp
-      // forward rather than scheduling into its past.
-      // Outside a parallel phase the coordinator owns every queue's window.
-      dst.cap.AssertHeld();
-      if (&dst != &cur && at < dst.now) {
-        at = dst.now;
-        ++dst.clamped;
-      }
-      uint32_t slot = AllocSlot(dst);
-      FnAt(dst, slot).Emplace(std::forward<F>(f));
-      return Enqueue(dst, at, slot);
-    }
-    return MailSchedule(cur, dst, at, InlineFn(std::forward<F>(f)));
+    Queue& dst = TargetQueue(cpu, at);
+    // Own timeline, or a foreign queue from the coordinator between phases
+    // (TargetQueue aborted otherwise), when it owns every queue.
+    dst.cap.AssertHeld();
+    uint32_t slot = AllocSlot(dst);
+    FnAt(dst, slot).Emplace(std::forward<F>(f));
+    return Enqueue(dst, at, slot);
   }
 
   // Cancels a pending event in O(log n). Cancelling kInvalidEvent, an
-  // already-fired id, or an already-cancelled id is a no-op. Cross-shard
-  // cancels ride the mailboxes and take effect at the next window barrier;
-  // like sends, they are exact under the lookahead contract (the victim
-  // fires >= lookahead past the canceller's clock) and best-effort — the
-  // legacy "already fired" no-op — otherwise.
+  // already-fired id, or an already-cancelled id is a no-op. Cancelling an
+  // event of another queue during a parallel phase aborts.
   void Cancel(EventId id);
 
   // Starts a detached root task at time `at` on the current timeline.
@@ -230,8 +201,8 @@ class Engine {
     if (q == nullptr) {
       q = main_queue_;
     }
-    // Reading one's own window's clock (tls hand-off in RunWindow), or the
-    // serial clock from the coordinator, which owns it outside windows.
+    // Reading one's own queue's clock (phase hand-off in RunQueue), or the
+    // serial clock from the coordinator, which owns it outside phases.
     q->cap.AssertHeld();
     return q->now;
   }
@@ -239,7 +210,7 @@ class Engine {
   uint64_t events_processed() const;
 
   // True when no live events remain anywhere. Cancelled events are removed
-  // eagerly and mailboxes are empty between runs, so this is O(#queues).
+  // eagerly, so this is O(#queues).
   bool empty() const;
 
   // Number of pending events across all queues.
@@ -260,34 +231,19 @@ class Engine {
   static constexpr uint32_t kChunkShift = 6;  // 64 callables (~3.5KB) per chunk
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;
 
-  // EventId layouts. Direct ids are handed out by Enqueue:
-  //   [gen:32][queue:7][slot+1:25]
-  // (queue 0 makes this bit-compatible with the pre-sharding encoding).
-  // Mailed ids are handed out by MailSchedule for cross-shard sends, before
-  // the receiver has assigned a slot:
-  //   [1:1][src queue:7][dst queue:7][pair seq:49]
+  // EventId layout: [gen:32][queue:7][slot+1:25] (queue 0 makes this
+  // bit-compatible with the pre-sharding encoding).
   static constexpr int kQueueBits = 7;
   static constexpr int kDirectSlotBits = kSlotBits + 1;  // slot+1 field width
-  static constexpr EventId kMailedBit = EventId{1} << 63;
-  static constexpr uint64_t kPairSeqBits = 49;
   static constexpr uint64_t kQueueMask = (uint64_t{1} << kQueueBits) - 1;
-  static constexpr uint64_t kPairSeqMask = (uint64_t{1} << kPairSeqBits) - 1;
-
-  // Cross-shard message: a schedule (fn set) or a cancel (cancel_id set).
-  struct CrossMsg {
-    Cycles at = 0;
-    uint64_t seq = 0;          // per-(src,dst) FIFO sequence, 1-based
-    EventId cancel_id = 0;     // nonzero: cancel this id instead of scheduling
-    InlineFn fn;
-  };
 
   // One event queue: the serial timeline (index 0) or a shard. Everything a
-  // window touches is confined here, so shard windows share no mutable
-  // engine state with each other — and every mutable member below is
+  // queue's run touches is confined here, so concurrently running queues
+  // share no mutable engine state — and every mutable member below is
   // GUARDED_BY(cap), so clang rejects new code that reaches into a queue
-  // without owning its window.
+  // without owning it.
   struct Queue {
-    WindowCap cap;               // the window ownership token (zero-size)
+    WindowCap cap;               // the ownership token (zero-size)
     int index = 0;               // fixed at ConfigureSharding; never racy
     std::vector<HeapItem> heap GUARDED_BY(cap);  // 4-ary min-heap by (at, seq)
     // Callbacks, slot-indexed, in fixed-size chunks: addresses are stable
@@ -303,24 +259,6 @@ class Engine {
     Cycles now GUARDED_BY(cap) = 0;
     uint64_t next_seq GUARDED_BY(cap) = 1;
     uint64_t events_processed GUARDED_BY(cap) = 0;
-
-    // --- cross-shard bookkeeping (sharded mode only) ---
-    // Set on every queue by ConfigureSharding; keeps the unsharded hot path
-    // free of mailed-id maintenance.
-    bool track_mailed = false;
-    // Producer side: per-destination pair sequence counters and counters.
-    std::vector<uint64_t> next_pair_seq GUARDED_BY(cap);  // dst queue -> next seq (1-based)
-    uint64_t cross_msgs GUARDED_BY(cap) = 0;
-    uint64_t cross_cancels GUARDED_BY(cap) = 0;
-    // Consumer side, all touched only under the window barrier:
-    std::vector<uint64_t> mailed_tag GUARDED_BY(cap);     // slot -> mailed id (0: none)
-    std::unordered_map<uint64_t, EventId> mailed GUARDED_BY(cap);  // mailed id -> direct id
-    std::unordered_set<uint64_t> pending_cancels GUARDED_BY(cap);  // cancels that beat their victim
-    std::vector<uint64_t> drained_seq GUARDED_BY(cap);    // src queue -> highest seq drained
-    uint64_t clamped GUARDED_BY(cap) = 0;                 // contract-violating sends delayed
-    // Dynamic window limit support: virtual time of this queue's first
-    // cross-shard send in the current window (kNever: none yet).
-    Cycles window_first_send GUARDED_BY(cap) = kNever;
   };
 
   // Packed (at, seq) ordering key. A single 128-bit compare lets the sift
@@ -340,83 +278,72 @@ class Engine {
            (static_cast<EventId>(queue) << kDirectSlotBits) |
            (static_cast<EventId>(slot) + 1);
   }
-  static EventId MakeMailedId(int src, int dst, uint64_t seq) {
-    return kMailedBit | (static_cast<EventId>(src) << (kQueueBits + kPairSeqBits)) |
-           (static_cast<EventId>(dst) << kPairSeqBits) | seq;
-  }
 
   static InlineFn& FnAt(Queue& q, uint32_t slot) REQUIRES(q.cap) {
     return q.chunks[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
 
-  static Cycles SatAdd(Cycles a, Cycles b) { return a > kNever - b ? kNever : a + b; }
-
   Queue& CurrentQueue() {
     Queue* q = tls_queue_;
     return q != nullptr ? *q : *main_queue_;
   }
-  Queue& QueueForCpu(int cpu) {
+
+  // The queue a ScheduleOnCpu(cpu, at) lands on, after the closed-shard
+  // checks: aborts on a cross-queue insert during a phase, or on one behind
+  // the target's clock between phases.
+  Queue& TargetQueue(int cpu, Cycles at) {
     if (queues_.size() == 1) {
       return *main_queue_;
     }
     assert(cpu >= 0 && static_cast<size_t>(cpu) < queue_of_cpu_.size());
-    return *queues_[queue_of_cpu_[static_cast<size_t>(cpu)]];
+    Queue& dst = *queues_[queue_of_cpu_[static_cast<size_t>(cpu)]];
+    Queue& cur = CurrentQueue();
+    if (&dst != &cur) {
+      CheckForeignInsert(cur, dst, at);
+    }
+    return dst;
   }
-  SpscMailbox<CrossMsg>& MailboxFor(int src, int dst) {
-    return *mail_[static_cast<size_t>(src) * queues_.size() + static_cast<size_t>(dst)];
-  }
+
+  // Aborts unless the coordinator, between phases, inserts into `dst` at or
+  // after its clock.
+  void CheckForeignInsert(const Queue& cur, Queue& dst, Cycles at) const;
 
   // Slot allocation and heap insertion, shared by the Schedule overloads.
   // The callable is filled into FnAt(q, slot) between the two calls.
   static uint32_t AllocSlot(Queue& q) REQUIRES(q.cap);
   EventId Enqueue(Queue& q, Cycles at, uint32_t slot) REQUIRES(q.cap);
 
-  // Producer side of a cross-shard send/cancel (runs on src's host thread).
-  EventId MailSchedule(Queue& src, Queue& dst, Cycles at, InlineFn fn) REQUIRES(src.cap);
-  void MailCancel(Queue& src, Queue& dst, EventId victim) REQUIRES(src.cap);
-
   static void SiftUp(Queue& q, size_t i) REQUIRES(q.cap);
   static void SiftDown(Queue& q, size_t i) REQUIRES(q.cap);
   static void FreeSlot(Queue& q, uint32_t slot) REQUIRES(q.cap);
   void RemoveAt(Queue& q, size_t i) REQUIRES(q.cap);
-  void CancelLocal(Queue& q, EventId id) REQUIRES(q.cap);
 
   // Pops and runs the next event. Precondition: q.heap non-empty.
   void Step(Queue& q) REQUIRES(q.cap);
 
-  // Runs q's events with `at < bound`, shrinking the bound to
-  // first_cross_send + lookahead so replies can never land in q's past.
-  void RunWindow(Queue& q, Cycles bound);
+  // Runs q's events with `at <= deadline` on the calling host thread.
+  void RunQueue(Queue& q, Cycles deadline);
 
-  // Window loop: runs until every *shard* queue is empty (true) or every
-  // pending event anywhere lies beyond `deadline` (false). The serial queue
-  // participates in windows but may be left non-empty on a true return; the
-  // caller's serial fast loop takes over.
-  bool RunParallelPhase(Cycles deadline);
-
-  // Barrier-side message application (coordinator thread only).
-  void DrainMailboxes();
-  void ApplyCrossSchedule(Queue& dst, int src, CrossMsg msg) REQUIRES(dst.cap);
-  void ApplyCancel(Queue& dst, EventId victim) REQUIRES(dst.cap);
+  // One parallel phase: every shard with an event at or before `deadline`
+  // runs on the executor while the coordinator runs queue 0; one Drain ends
+  // it. Afterwards no queue holds an event at or before `deadline`.
+  void RunParallelPhase(Cycles deadline);
 
   std::vector<std::unique_ptr<Queue>> queues_;  // [0]: serial; [1..]: shards
   Queue* main_queue_ = nullptr;                 // == queues_[0].get()
   std::vector<uint8_t> queue_of_cpu_;           // cpu -> queue index (sharded)
-  std::vector<std::unique_ptr<SpscMailbox<CrossMsg>>> mail_;  // src * nq + dst
   Executor* executor_ = nullptr;
-  Cycles lookahead_ = 1;
   // Events pending in shard queues, maintained while the coordinator is the
-  // only running thread and recomputed at each window barrier; the serial
-  // fast loop polls it to know when a parallel phase is due.
+  // only running thread and recomputed when a phase ends; the serial loop
+  // polls it to know when a phase is due.
   size_t parallel_pending_ = 0;
   bool in_parallel_phase_ = false;
   uint64_t stat_windows_ = 0;
   uint64_t stat_shard_windows_ = 0;
-  uint64_t stat_horizon_stalls_ = 0;
 
-  // The queue whose window is executing on this host thread (null outside
-  // windows). Static: at most one engine runs a window on a given thread at
-  // a time, and RunWindow saves/restores for safety.
+  // The queue running on this host thread (null outside phases). Static: at
+  // most one engine runs a queue on a given thread at a time, and RunQueue
+  // saves/restores for safety.
   static thread_local Queue* tls_queue_;
 };
 

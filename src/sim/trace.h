@@ -5,6 +5,7 @@
 #define TLBSIM_SRC_SIM_TRACE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -23,9 +24,11 @@ class Trace {
   void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
-  void Record(Cycles at, int cpu, std::string tag) {
+  // The tag is copied into a string only when enabled: disabled tracing
+  // sits on the per-shootdown hot path and must not allocate.
+  void Record(Cycles at, int cpu, std::string_view tag) {
     if (enabled_) {
-      events_.push_back(TraceEvent{at, cpu, std::move(tag)});
+      events_.push_back(TraceEvent{at, cpu, std::string(tag)});
     }
   }
 

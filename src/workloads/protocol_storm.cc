@@ -17,7 +17,7 @@ struct Lane {
   uint64_t checksum = 0;
 };
 
-// splitmix64-style finalizer (same recipe as shard_storm): commutative-sum
+// splitmix64-style finalizer: commutative-sum
 // ingredients must be well mixed or colliding pairs cancel structurally.
 uint64_t Mix(uint64_t cpu, uint64_t t, uint64_t kind) {
   uint64_t x = cpu * 0x9E3779B97F4A7C15ULL ^ (t + kind * 0xBF58476D1CE4E5B9ULL);
@@ -141,9 +141,7 @@ ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg) {
 
   // The engine is quiescent here; split it and bank the protocol state.
   sys.ActivateProtocolShards();
-  if (cfg.require_confined) {
-    sys.SetRequireConfined(true);
-  }
+  sys.SetRequireConfined(true);
 
   // Measured phase: the storm proper, on the shards (serial when
   // shard_protocol is off — the same workload either way).

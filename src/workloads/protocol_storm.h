@@ -12,14 +12,15 @@
 // read slice -> mprotect(RW) }, each mprotect shooting down every other CPU
 // of its socket. Because each process's cpumask is confined to one socket,
 // the ENTIRE shootdown chain — kernel entry, cpumask scan, IPI send, remote
-// flush IRQ, ack — executes inside one shard's window with zero cross-shard
-// traffic (asserted via ParallelStats::clamped_deliveries == 0 and, in
-// debug builds, set_require_confined).
+// flush IRQ, ack — executes inside one shard, so the measured phase is a
+// single parallel engine phase in which every shard runs to completion. The
+// engine aborts on any cross-shard schedule or cancel, and debug builds
+// also assert confinement in the backend (System::SetRequireConfined).
 //
 // Determinism contract, checked by tests/protocol_shard_test.cc and the
 // in-binary equality gate in bench/sim_throughput:
-//   - sharded at host_threads == 1 vs N: ALL metrics byte-identical (the
-//     engine's mailbox determinism);
+//   - sharded at host_threads == 1 vs N: ALL metrics byte-identical (closed
+//     shards see only their own events, whichever thread runs them);
 //   - sharded vs true serial (shard_protocol off), ipi backend: checksum,
 //     end_time, events_processed and backend counter sums identical —
 //     per-socket coherence banks inherit each line's MESI contents at the
@@ -46,13 +47,10 @@ struct ProtocolStormConfig {
   // reference and the scaling baseline.
   bool shard_protocol = true;
   // Host threads (clamped to sockets); 1 with shard_protocol runs every
-  // shard window inline — the deterministic sharded reference.
+  // shard inline — the deterministic sharded reference.
   int sim_threads = 1;
   int pages_per_cpu = 4;
   int iterations = 50;            // mprotect RO/RW round-trips per CPU
-  // Debug-assert the socket-confinement contract in the backend (on by
-  // default: this workload is confined by construction).
-  bool require_confined = true;
   // Participating CPUs (empty: all). A socket's process gets threads on its
   // listed CPUs only, so this IS the shootdown target mask per socket —
   // the property test feeds random subsets here. Sockets with no listed CPU
@@ -68,7 +66,7 @@ struct ProtocolStormResult {
   uint64_t events_processed = 0;  // engine total
   uint64_t checksum = 0;          // commutative (cpu, time, iter) hash
   Cycles end_time = 0;            // final virtual time
-  Engine::ParallelStats par;      // windows / cross-shard traffic / clamps
+  Engine::ParallelStats par;      // phases / shard runs / shard events
   Json metrics;                   // full registry snapshot (equality checks)
 };
 

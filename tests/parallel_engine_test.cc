@@ -1,30 +1,26 @@
-// Parallel engine: shard windows, the lookahead contract, cross-shard
-// mailboxes/cancels, and bit-exact replay across shard and thread counts.
-//
-// Most tests run windows inline (ShardPlan.executor == nullptr): the full
-// sharded machinery — windows, mailboxes, barrier drains — without host
-// threads, so event interleavings are deterministic and the tests can poke
-// single protocol edges. The storm tests at the bottom run the real
-// ThreadPool path and assert bit-identical results, which is the whole
-// point of the conservative design (and what the TSan CI job hammers).
+// Parallel engine: the closed-shard contract. Each parallel phase runs every
+// shard to completion (or to the RunUntil deadline) with no channel between
+// queues, so a cross-queue schedule or cancel during a phase — and a
+// coordinator insert behind a shard's clock — must abort, while confined
+// per-shard work replays bit-identically inline and on a thread pool (the
+// latter is what the TSan CI job runs to cover the fork-join).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
-#include "src/cache/topology.h"
+#include "src/exec/thread_pool.h"
 #include "src/sim/engine.h"
-#include "src/workloads/shard_storm.h"
 
 namespace tlbsim {
 namespace {
 
 // Two shards, two cpus each: cpus {0,1} -> shard A (queue 1), {2,3} ->
-// shard B (queue 2). Null executor: windows run inline on the caller.
-Engine::ShardPlan TwoShardPlan(Cycles lookahead) {
+// shard B (queue 2). Null executor: shards run inline on the caller.
+Engine::ShardPlan TwoShardPlan() {
   Engine::ShardPlan plan;
   plan.shards = 2;
   plan.shard_of_cpu = {0, 0, 1, 1};
-  plan.lookahead = lookahead;
   return plan;
 }
 
@@ -35,7 +31,6 @@ TEST(ParallelEngineTest, DegeneratePlanStaysLegacy) {
   Engine degenerate;
   Engine::ShardPlan plan;
   plan.shards = 1;
-  plan.lookahead = 7;
   degenerate.ConfigureSharding(std::move(plan));
   EXPECT_FALSE(degenerate.sharded());
 
@@ -70,179 +65,9 @@ TEST(ParallelEngineTest, UnshardedScheduleOnCpuInterleavesWithSchedule) {
   EXPECT_EQ(e.now(), 30);
 }
 
-TEST(ParallelEngineTest, CrossSendExactlyAtHorizonBoundary) {
-  // A send targeting exactly now() + lookahead() — the contract minimum —
-  // must be delivered exactly, at exactly that virtual time.
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(50));
-  ASSERT_TRUE(e.sharded());
-  ASSERT_EQ(e.lookahead(), 50);
-
-  Cycles fired_at = 0;
-  Cycles sent_from = 0;
-  e.ScheduleOnCpu(0, 100, [&] {
-    sent_from = e.now();
-    e.ScheduleOnCpu(2, e.now() + e.lookahead(), [&] { fired_at = e.now(); });
-  });
-  e.Run();
-  EXPECT_EQ(sent_from, 100);
-  EXPECT_EQ(fired_at, 150);
-  Engine::ParallelStats par = e.parallel_stats();
-  EXPECT_EQ(par.cross_shard_messages, 1u);
-  EXPECT_EQ(par.clamped_deliveries, 0u);
-  EXPECT_GE(par.windows, 2u);  // delivery happens a window after the send
-}
-
-TEST(ParallelEngineTest, ContractViolatorIsClampedForward) {
-  // A send targeting now() + 1 with lookahead 200 may be delivered late —
-  // clamped to the receiver's clock — but never into the receiver's past,
-  // and the violation is counted.
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(200));
-
-  // Shard B: a dense chain so its clock is deep into the window when the
-  // violating message drains at the barrier.
-  uint64_t b_ran = 0;
-  for (Cycles t = 0; t < 300; ++t) {
-    e.ScheduleOnCpu(2, t, [&] { ++b_ran; });
-  }
-  Cycles fired_at = 0;
-  e.ScheduleOnCpu(0, 100, [&] {
-    e.ScheduleOnCpu(2, e.now() + 1, [&] { fired_at = e.now(); });  // violator
-  });
-  e.Run();
-  // Window [0, 200): B runs its chain to t=199; the barrier clamps the
-  // t=101 delivery forward to B's clock.
-  EXPECT_EQ(fired_at, 199);
-  EXPECT_EQ(b_ran, 300u);
-  Engine::ParallelStats par = e.parallel_stats();
-  EXPECT_EQ(par.clamped_deliveries, 1u);
-  EXPECT_EQ(par.cross_shard_messages, 1u);
-}
-
-TEST(ParallelEngineTest, CancelMailedEventSameWindow) {
-  // Cancel an event that was mailed to another shard within the same
-  // window: the cancel rides the same mailbox behind the schedule (FIFO)
-  // and must kill the victim at the barrier, before it can fire.
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(50));
-
-  bool victim_ran = false;
-  e.ScheduleOnCpu(0, 100, [&] {
-    Engine::EventId id =
-        e.ScheduleOnCpu(2, e.now() + 150, [&] { victim_ran = true; });
-    e.Cancel(id);
-  });
-  e.Run();
-  EXPECT_FALSE(victim_ran);
-  Engine::ParallelStats par = e.parallel_stats();
-  EXPECT_EQ(par.cross_shard_messages, 1u);
-  EXPECT_EQ(par.cross_shard_cancels, 1u);
-}
-
-TEST(ParallelEngineTest, CancelMailedEventFromLaterWindow) {
-  // The victim is mailed in one window and cancelled from a later one
-  // (after it already sits in the receiver's heap), under the cancel
-  // contract: victim time >= canceller clock + lookahead.
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(50));
-
-  // Shard B pre-chain bounds the first window so the schedule and the
-  // cancel land in distinct windows.
-  uint64_t b_ran = 0;
-  for (Cycles t = 0; t < 100; t += 10) {
-    e.ScheduleOnCpu(2, t, [&] { ++b_ran; });
-  }
-  bool victim_ran = false;
-  Engine::EventId victim = Engine::kInvalidEvent;
-  e.ScheduleOnCpu(0, 100, [&] {
-    victim = e.ScheduleOnCpu(2, 250, [&] { victim_ran = true; });
-  });
-  e.ScheduleOnCpu(0, 160, [&] {
-    ASSERT_NE(victim, Engine::kInvalidEvent);
-    e.Cancel(victim);  // 160 + 50 <= 250: exact under the contract
-  });
-  e.Run();
-  EXPECT_FALSE(victim_ran);
-  EXPECT_EQ(b_ran, 10u);
-  Engine::ParallelStats par = e.parallel_stats();
-  EXPECT_EQ(par.cross_shard_cancels, 1u);
-  EXPECT_EQ(par.clamped_deliveries, 0u);
-}
-
-TEST(ParallelEngineTest, CancelArrivingBeforeItsVictimIsRemembered) {
-  // Mailboxes drain in (dst, src) order, so a cancel from a lower-index
-  // queue (the serial queue) drains before the schedule it targets when
-  // both cross in the same window. The receiver must remember the cancel
-  // and drop the victim on arrival instead of losing the cancel.
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(50));
-
-  bool victim_ran = false;
-  Engine::EventId victim = Engine::kInvalidEvent;
-  // Queue 1 (shard A) mails the schedule; windows run shards before the
-  // serial queue, so the id is visible to the serial event below.
-  e.ScheduleOnCpu(0, 100, [&] {
-    victim = e.ScheduleOnCpu(2, 300, [&] { victim_ran = true; });
-  });
-  // Queue 0 (serial) cancels it in the same window; at the barrier the
-  // cancel (src 0) drains before the schedule (src 1).
-  e.Schedule(100, [&] {
-    ASSERT_NE(victim, Engine::kInvalidEvent);
-    e.Cancel(victim);
-  });
-  e.Run();
-  EXPECT_FALSE(victim_ran);
-  Engine::ParallelStats par = e.parallel_stats();
-  EXPECT_EQ(par.cross_shard_messages, 1u);
-  EXPECT_EQ(par.cross_shard_cancels, 1u);
-}
-
-TEST(ParallelEngineTest, CancelAfterMailedEventFiredIsNoop) {
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(50));
-
-  bool victim_ran = false;
-  Engine::EventId victim = Engine::kInvalidEvent;
-  e.ScheduleOnCpu(0, 100, [&] {
-    victim = e.ScheduleOnCpu(2, 150, [&] { victim_ran = true; });
-  });
-  e.ScheduleOnCpu(0, 400, [&] { e.Cancel(victim); });  // long fired by now
-  e.Run();
-  EXPECT_TRUE(victim_ran);
-  EXPECT_EQ(e.parallel_stats().cross_shard_cancels, 1u);
-  // Double-cancel of a direct id after the run is equally a no-op.
-  e.Cancel(victim);
-}
-
-TEST(ParallelEngineTest, MailboxOverflowPreservesFifoDelivery) {
-  // One event mails more messages than the SPSC ring holds; the overflow
-  // spill must still deliver every message, in FIFO order.
-  Engine e;
-  e.ConfigureSharding(TwoShardPlan(10));
-
-  constexpr int kSends = 300;  // ring capacity is 256
-  std::vector<int> delivered;
-  e.ScheduleOnCpu(0, 100, [&] {
-    for (int i = 0; i < kSends; ++i) {
-      e.ScheduleOnCpu(2, e.now() + 10 + i,
-                      [&delivered, i] { delivered.push_back(i); });
-    }
-  });
-  e.Run();
-  ASSERT_EQ(delivered.size(), static_cast<size_t>(kSends));
-  for (int i = 0; i < kSends; ++i) {
-    EXPECT_EQ(delivered[static_cast<size_t>(i)], i);
-  }
-  Engine::ParallelStats par = e.parallel_stats();
-  EXPECT_EQ(par.cross_shard_messages, static_cast<uint64_t>(kSends));
-  EXPECT_GT(par.mailbox_overflows, 0u);
-  EXPECT_EQ(par.clamped_deliveries, 0u);
-}
-
 TEST(ParallelEngineTest, RunUntilStopsAtDeadlineAndResumes) {
   Engine e;
-  e.ConfigureSharding(TwoShardPlan(50));
+  e.ConfigureSharding(TwoShardPlan());
 
   std::vector<Cycles> fired;
   e.ScheduleOnCpu(0, 100, [&] { fired.push_back(e.now()); });
@@ -254,66 +79,103 @@ TEST(ParallelEngineTest, RunUntilStopsAtDeadlineAndResumes) {
   EXPECT_TRUE(e.empty());
 }
 
-// --- seeded-storm replay: the determinism contract end to end ---
+// --- contract violations abort, in every build type ---
 
-ShardStormConfig SmallStorm() {
-  ShardStormConfig cfg;
-  cfg.topo = Topology::EightSocket();  // 224 cpus
-  cfg.events_per_cpu = 300;
-  cfg.cross_period = 16;
-  cfg.lookahead = 135;  // CostModel::CrossShardLookahead() on defaults
-  cfg.cross_latency = 1500;
-  cfg.seed = 0x5eed;
-  return cfg;
+TEST(ParallelEngineDeathTest, CrossShardScheduleDuringPhaseAborts) {
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.ConfigureSharding(TwoShardPlan());
+        e.ScheduleOnCpu(0, 10, [&] { e.ScheduleOnCpu(2, 5000, [] {}); });
+        e.Run();
+      },
+      "queue 1 scheduled onto queue 2 during a parallel phase");
 }
 
-void ExpectSameStorm(const ShardStormResult& a, const ShardStormResult& b) {
-  EXPECT_EQ(a.chain_events, b.chain_events);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.echoes, b.echoes);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.timeline_checksum, b.timeline_checksum);
-  EXPECT_EQ(a.end_time, b.end_time);
+TEST(ParallelEngineDeathTest, CrossShardCancelDuringPhaseAborts) {
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.ConfigureSharding(TwoShardPlan());
+        Engine::EventId victim = e.ScheduleOnCpu(2, 5000, [] {});
+        e.ScheduleOnCpu(0, 10, [&e, victim] { e.Cancel(victim); });
+        e.Run();
+      },
+      "queue 1 cancelled an event of queue 2 during a parallel phase");
 }
 
-TEST(ParallelEngineTest, StormShardsOneMatchesShardedInlineRun) {
-  ShardStormConfig cfg = SmallStorm();
-  cfg.shards = 1;
-  ShardStormResult base = RunShardStorm(cfg);
-  EXPECT_GT(base.chain_events, 0u);
-  EXPECT_GT(base.deliveries, 0u);
-  EXPECT_EQ(base.events_processed,
-            base.chain_events + base.deliveries + base.echoes);
+TEST(ParallelEngineDeathTest, CoordinatorInsertBehindShardClockAborts) {
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.ConfigureSharding(TwoShardPlan());
+        e.ScheduleOnCpu(0, 100, [] {});
+        e.Run();  // shard A's clock is now 100; the serial clock is still 0
+        e.ScheduleOnCpu(1, 50, [] {});
+      },
+      "queue 0 scheduled onto queue 1 at 50, behind its clock 100");
+}
 
-  for (int shards : {2, 4, 8}) {
-    ShardStormConfig sharded = SmallStorm();
-    sharded.shards = shards;
-    sharded.host_threads = 1;  // inline windows: sharding alone
-    ShardStormResult r = RunShardStorm(sharded);
-    SCOPED_TRACE(shards);
-    ExpectSameStorm(base, r);
-    EXPECT_GT(r.par.windows, 0u);
-    EXPECT_GT(r.par.cross_shard_messages, 0u);
-    EXPECT_EQ(r.par.clamped_deliveries, 0u);  // contract-respecting workload
+// --- confined per-shard chains: same result inline and on a pool ---
+
+struct ChainResult {
+  std::vector<uint64_t> hashes;  // per cpu, order-sensitive
+  uint64_t events = 0;
+  Cycles end = 0;
+  Engine::ParallelStats par;
+};
+
+// Every cpu of a 4-shard, 16-cpu plan runs a self-rescheduling chain on its
+// own shard; each link folds (cpu, time) into that cpu's hash, so any
+// reordering or lost event changes the result.
+ChainResult RunChains(Engine::Executor* executor) {
+  constexpr int kCpus = 16;
+  constexpr int kLinks = 200;
+  Engine e;
+  Engine::ShardPlan plan;
+  plan.shards = 4;
+  for (int c = 0; c < kCpus; ++c) {
+    plan.shard_of_cpu.push_back(c / 4);
   }
+  plan.executor = executor;
+  e.ConfigureSharding(std::move(plan));
+
+  ChainResult r;
+  r.hashes.assign(kCpus, 0);
+  std::vector<int> left(kCpus, kLinks);
+  auto link = [&](auto&& self, int cpu) -> void {
+    uint64_t& h = r.hashes[static_cast<size_t>(cpu)];
+    h = h * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(e.now());
+    if (--left[static_cast<size_t>(cpu)] > 0) {
+      e.ScheduleOnCpu(cpu, e.now() + 1 + static_cast<Cycles>(h % 13),
+                      [&self, cpu] { self(self, cpu); });
+    }
+  };
+  for (int c = 0; c < kCpus; ++c) {
+    e.ScheduleOnCpu(c, c, [&link, c] { link(link, c); });
+  }
+  r.end = e.Run();
+  r.events = e.events_processed();
+  r.par = e.parallel_stats();
+  return r;
 }
 
-TEST(ParallelEngineTest, StormReplayBitIdenticalAcrossHostThreads) {
-  // The real thing: same seed, real worker threads, bit-identical results.
-  // (The TSan CI job runs this test to certify the window barrier.)
-  ShardStormConfig cfg = SmallStorm();
-  cfg.shards = 1;
-  ShardStormResult base = RunShardStorm(cfg);
+TEST(ParallelEngineTest, PerShardChainsReplayOnThreadPool) {
+  ChainResult inline_run = RunChains(nullptr);
+  EXPECT_EQ(inline_run.events, 16u * 200u);
+  EXPECT_EQ(inline_run.par.windows, 1u);
+  EXPECT_EQ(inline_run.par.shard_windows, 4u);
+  EXPECT_EQ(inline_run.par.parallel_events, inline_run.events);
 
-  for (int threads : {2, 4, 8}) {
-    ShardStormConfig sharded = SmallStorm();
-    sharded.shards = 8;
-    sharded.host_threads = threads;
-    ShardStormResult r = RunShardStorm(sharded);
-    SCOPED_TRACE(threads);
-    ExpectSameStorm(base, r);
-    EXPECT_EQ(r.par.clamped_deliveries, 0u);
-  }
+  ThreadPool pool(4);
+  EngineExecutor executor(pool);
+  ChainResult pooled = RunChains(&executor);
+  EXPECT_EQ(pooled.hashes, inline_run.hashes);
+  EXPECT_EQ(pooled.events, inline_run.events);
+  EXPECT_EQ(pooled.end, inline_run.end);
+  EXPECT_EQ(pooled.par.windows, inline_run.par.windows);
+  EXPECT_EQ(pooled.par.shard_windows, inline_run.par.shard_windows);
+  EXPECT_EQ(pooled.par.parallel_events, inline_run.par.parallel_events);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // executing on per-socket event shards with banked protocol state.
 //
 // Determinism properties under test:
-//   - sharded at host_threads 1 vs N: bit-identical metrics snapshots (the
-//     engine's mailbox determinism extended to the full protocol);
+//   - sharded at host_threads 1 vs N: bit-identical metrics snapshots
+//     (closed shards see only their own events, whichever thread runs them);
 //   - sharded vs true serial (ipi backend): identical checksum / end_time /
 //     events_processed / backend counters — the per-socket coherence banks
 //     inherit each line's MESI contents at the split, so a socket-confined
@@ -11,8 +11,8 @@
 //     keeps count equality but runs FASTER in virtual time: its global
 //     next_tlb_gen ticket line is the one genuinely cross-socket protocol
 //     line, and partitioning it is the tentpole's whole point;
-//   - zero cross-shard traffic for confined storms (the whole point):
-//     clamped_deliveries == 0 and cross_shard_messages == 0;
+//   - a confined storm is one parallel phase: exactly 1 window, with one
+//     shard window per active socket (any cross-shard schedule would abort);
 //   - random shootdown masks x sim-threads {1,2,8} x backend {ipi,queue}
 //     keep all of the above (the property sweep).
 #include <gtest/gtest.h>
@@ -73,9 +73,9 @@ TEST(ProtocolShardTest, ShardedMatchesSerialAggregates) {
       // ping-pong serial mode pays, so sharded time can only improve.
       EXPECT_LE(rp.end_time, rs.end_time);
     }
-    // The storm is confined, so the sharded run needs no cross-shard hops.
-    EXPECT_EQ(rp.par.cross_shard_messages, 0u);
-    EXPECT_EQ(rp.par.clamped_deliveries, 0u);
+    // The storm is confined, so every shard runs to completion in one phase.
+    EXPECT_EQ(rp.par.windows, 1u);
+    EXPECT_EQ(rp.par.shard_windows, static_cast<uint64_t>(sharded.topo.sockets));
     EXPECT_GT(rp.par.parallel_events, 0u);
   }
 }
@@ -109,6 +109,36 @@ TEST(ProtocolShardTest, HostThreadCountIsInvisible) {
     // be invisible to the simulation.
     EXPECT_EQ(r1.metrics, r2.metrics) << "metrics diverged on " << FlushBackendName(backend);
   }
+}
+
+TEST(ProtocolShardTest, BackToBackStormsReuseShardThreads) {
+  // A released shard pool is parked for the next sharded Machine built on
+  // this thread: storms of mixed widths in a row, and two Systems alive at
+  // once (the second cannot take the first's pool), all replay the inline
+  // reference.
+  ProtocolStormConfig inline_cfg = SmallConfig(FlushBackendKind::kIpi);
+  inline_cfg.topo = Topology{4, 2, 2};  // 4 sockets: pool widths 1 and 3
+  ProtocolStormResult ref = RunProtocolStorm(inline_cfg);
+  for (int threads : {2, 2, 4, 2}) {
+    ProtocolStormConfig cfg = inline_cfg;
+    cfg.sim_threads = threads;
+    ProtocolStormResult r = RunProtocolStorm(cfg);
+    ExpectAggregatesEqual(ref, r);
+    EXPECT_EQ(ref.metrics, r.metrics) << "sim_threads " << threads;
+  }
+  SystemConfig cfg;
+  cfg.machine.topo = inline_cfg.topo;
+  cfg.machine.shard_protocol = true;
+  cfg.machine.sim_threads = 2;
+  {
+    System a(cfg);
+    System b(cfg);
+    a.ActivateProtocolShards();
+    b.ActivateProtocolShards();
+  }
+  ProtocolStormConfig two = inline_cfg;
+  two.sim_threads = 2;
+  ExpectAggregatesEqual(ref, RunProtocolStorm(two));
 }
 
 TEST(ProtocolShardTest, FastpathCountersSurviveSharding) {
@@ -167,8 +197,8 @@ TEST(ProtocolShardTest, RandomMaskPropertySweep) {
         } else {
           ExpectCountsEqual(ref, r);
         }
-        EXPECT_EQ(r.par.cross_shard_messages, 0u);
-        EXPECT_EQ(r.par.clamped_deliveries, 0u);
+        EXPECT_EQ(r.par.windows, 1u);
+        EXPECT_EQ(r.par.shard_windows, static_cast<uint64_t>(base.topo.sockets));
         if (have_prev) {
           ExpectAggregatesEqual(prev, r);
           EXPECT_EQ(prev.metrics, r.metrics)

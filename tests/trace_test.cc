@@ -1,7 +1,40 @@
-// Trace: enable/disable gating, render ordering.
+// Trace: enable/disable gating, render ordering, and no allocation while
+// disabled.
 #include "src/sim/trace.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+// Counting global allocator for this binary: the disabled-trace test checks
+// that Record() never reaches operator new.
+namespace {
+uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace tlbsim {
 namespace {
@@ -9,6 +42,19 @@ namespace {
 TEST(TraceTest, DisabledRecordsNothing) {
   Trace t;
   t.Record(10, 0, "x");
+  EXPECT_TRUE(t.events().empty());
+}
+
+TEST(TraceTest, DisabledRecordDoesNotAllocate) {
+  // Tags past the small-string buffer (15 chars in libstdc++) are the ones a
+  // by-value std::string parameter would heap-allocate for.
+  Trace t;
+  const char* tag = "initiator: flush dispatch";
+  uint64_t before = g_allocs;
+  for (int i = 0; i < 1000; ++i) {
+    t.Record(i, 0, tag);
+  }
+  EXPECT_EQ(g_allocs - before, 0u);
   EXPECT_TRUE(t.events().empty());
 }
 
