@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the simulator primitives: TLB lookup /
-// insert, page walks, coherence accesses, engine event throughput, and a full
-// end-to-end shootdown simulation per iteration.
+// insert / INVLPG, page walks and present-leaf walks, coherence accesses,
+// System construction, engine event throughput, and a full end-to-end
+// shootdown simulation per iteration.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -42,6 +43,26 @@ void BM_TlbInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbInsertEvict);
 
+void BM_TlbInvlPgNo2M(benchmark::State& state) {
+  // The responder's per-page flush with no 2M entry resident, so the 2M
+  // probe is skipped. The 4K entries are gone after the first 1024 flushes;
+  // the 4K set scan still runs.
+  Tlb tlb;
+  for (uint64_t vpn = 0; vpn < 1024; ++vpn) {
+    TlbEntry e;
+    e.vpn = vpn;
+    e.pcid = 1;
+    e.pfn = vpn;
+    e.flags = PteFlags::kPresent;
+    tlb.Insert(e);
+  }
+  uint64_t vpn = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlb.InvlPg(1, (vpn++ % 1024) << kPageShift));
+  }
+}
+BENCHMARK(BM_TlbInvlPgNo2M);
+
 void BM_PageWalk(benchmark::State& state) {
   PageTable pt;
   constexpr uint64_t kVa = 0x500000000000ULL;
@@ -55,6 +76,24 @@ void BM_PageWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageWalk);
+
+void BM_ForEachPresent1024(benchmark::State& state) {
+  // The zap/mprotect/msync range walk over 1024 present 4K pages.
+  PageTable pt;
+  constexpr uint64_t kVa = 0x500000000000ULL;
+  constexpr uint64_t kPages = 1024;
+  for (uint64_t i = 0; i < kPages; ++i) {
+    pt.Map(kVa + i * kPageSize4K, i + 1, PteFlags::kPresent | PteFlags::kUser);
+  }
+  for (auto _ : state) {
+    uint64_t visited = 0;
+    pt.ForEachPresent(kVa, kVa + kPages * kPageSize4K,
+                      [&](uint64_t, Pte, PageSize) { ++visited; });
+    benchmark::DoNotOptimize(visited);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kPages));
+}
+BENCHMARK(BM_ForEachPresent1024);
 
 void BM_FrameAllocChurn(benchmark::State& state) {
   // Steady-state alloc/free churn with a deep free list. The old allocator
@@ -94,6 +133,35 @@ void BM_CoherencePingPong(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoherencePingPong);
+
+void BM_CoherenceSharersThenWriter(benchmark::State& state) {
+  // A named line read by 16 cpus (both sockets) and then written by one
+  // more: 16 read transfers and one invalidating write per iteration.
+  Topology topo;
+  CacheCosts costs;
+  CoherenceModel model(topo, costs);
+  LineId line = model.AllocateLine("flush_info");
+  for (auto _ : state) {
+    for (int cpu = 0; cpu < 32; cpu += 2) {
+      benchmark::DoNotOptimize(model.Access(cpu, line, AccessType::kRead));
+    }
+    benchmark::DoNotOptimize(model.Access(55, line, AccessType::kWrite));
+  }
+  state.SetItemsProcessed(state.iterations() * 17);
+}
+BENCHMARK(BM_CoherenceSharersThenWriter);
+
+void BM_SystemConstruction(benchmark::State& state) {
+  // Building (and tearing down) a whole System: per-cpu TLBs, the kernel's
+  // named lines and the coherence directory. Arg = cpus (56 or 224).
+  SystemConfig cfg;
+  cfg.machine.topo = state.range(0) > 56 ? Topology::EightSocket() : Topology{};
+  for (auto _ : state) {
+    System sys(cfg);
+    benchmark::DoNotOptimize(&sys);
+  }
+}
+BENCHMARK(BM_SystemConstruction)->Arg(56)->Arg(224)->Unit(benchmark::kMillisecond);
 
 void BM_EngineEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

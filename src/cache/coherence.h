@@ -10,9 +10,27 @@
 // Lines are identified by opaque LineIds. Kernel data structures allocate
 // named lines via AllocateLine(); data memory derives LineIds from physical
 // addresses via LineOfAddress().
+//
+// Directory layout. Named ids are dense from 1, so each bank keeps them in
+// two vectors: a per-bank slot index (named id -> 1 + position, 0 = never
+// touched here) and a dense entry array holding only the lines that bank has
+// touched. Address-derived data lines (bit 63 set) are sparse and stay in a
+// per-bank hash map. The slot index costs 4 bytes per named id per bank; an
+// entry array over every named id would cost 88 bytes per id per bank, and
+// named lines grow with cpus^2 (the cfd[c][t] lines: 50 176 of them at 224
+// cpus), so a bank stores entries only for lines it actually touched.
+//
+// Holder masks. A line's sharers are a fixed 256-bit cpu mask (Topology
+// presets reach 224 cpus). The nearest holder, the farthest other holder and
+// the invalidation count then come from ANDs against the accessing cpu's
+// precomputed core and socket masks and a popcount, instead of a
+// Topology::Between per holder. `first_sharer` remembers the first sharer in
+// insertion order, which ConfigureBanks uses to home a line with no owner.
 #ifndef TLBSIM_SRC_CACHE_COHERENCE_H_
 #define TLBSIM_SRC_CACHE_COHERENCE_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -42,9 +60,33 @@ struct CacheCosts {
 
 class CoherenceModel {
  public:
+  // Fixed-width cpu set (see the header comment).
+  struct CpuMask {
+    static constexpr int kMaxCpus = 256;
+    std::array<uint64_t, kMaxCpus / 64> w{};
+
+    void Set(int cpu) { w[static_cast<size_t>(cpu) >> 6] |= 1ULL << (cpu & 63); }
+    void Reset(int cpu) { w[static_cast<size_t>(cpu) >> 6] &= ~(1ULL << (cpu & 63)); }
+    bool Test(int cpu) const { return (w[static_cast<size_t>(cpu) >> 6] >> (cpu & 63)) & 1; }
+    void Clear() { w = {}; }
+    bool Any() const { return (w[0] | w[1] | w[2] | w[3]) != 0; }
+    bool Intersects(const CpuMask& o) const {
+      return ((w[0] & o.w[0]) | (w[1] & o.w[1]) | (w[2] & o.w[2]) | (w[3] & o.w[3])) != 0;
+    }
+    // True if some bit is set here but not in `o`.
+    bool AnyOutside(const CpuMask& o) const {
+      return ((w[0] & ~o.w[0]) | (w[1] & ~o.w[1]) | (w[2] & ~o.w[2]) | (w[3] & ~o.w[3])) != 0;
+    }
+    int Count() const {
+      return std::popcount(w[0]) + std::popcount(w[1]) + std::popcount(w[2]) +
+             std::popcount(w[3]);
+    }
+  };
+
   struct LineState {
     int owner = -1;                // CPU holding Modified/Exclusive, or -1
-    std::vector<int> sharers;      // CPUs holding Shared (excludes owner)
+    int first_sharer = -1;         // first cpu added to `sharers` since it was last empty
+    CpuMask sharers;               // CPUs holding Shared (excludes owner)
     bool valid_anywhere = false;   // false until first access (memory fill)
   };
 
@@ -65,8 +107,7 @@ class CoherenceModel {
     uint64_t memory_fills = 0;
   };
 
-  CoherenceModel(const Topology& topo, const CacheCosts& costs)
-      : topo_(topo), costs_(costs) {}
+  CoherenceModel(const Topology& topo, const CacheCosts& costs);
 
   // Allocates a fresh LineId for a named kernel object (name kept for
   // diagnostics / the Figure-4 harness).
@@ -92,11 +133,7 @@ class CoherenceModel {
   Cycles Access(int cpu, LineId line, AccessType type);
 
   // Drops a line from every cache (e.g. clflush); free for accounting.
-  void EvictAll(LineId line) {  // tlblint: shard-local — line is socket-confined
-    for (Bank& b : banks_) {
-      b.line_map.erase(line);
-    }
-  }
+  void EvictAll(LineId line);
 
   // Protocol sharding: banks the directory per socket. Accesses resolve into
   // the *accessing* cpu's socket bank; under the socket-confinement contract
@@ -118,17 +155,32 @@ class CoherenceModel {
   // Composed on demand — named lines store their name in pieces.
   std::string NameOf(LineId line) const;
 
+  // Directory entries held, summed over banks (a line touched from two banks
+  // counts twice). An evicted named line keeps its (reset) entry.
+  size_t DirectoryEntries() const;
+
  private:
   struct Entry {
     LineState state;
     LineStats stats;
   };
 
-  // One directory bank: the line map plus its aggregate counters. Everything
-  // a shard window touches through Access() lives in its own socket's bank.
+  // One directory bank: its lines plus its aggregate counters. Everything a
+  // shard window touches through Access() lives in its own socket's bank.
   struct Bank {
-    std::unordered_map<LineId, Entry> line_map;
+    std::vector<uint32_t> slot_of;  // named id -> 1 + index into `named`; 0 = absent
+    std::vector<Entry> named;       // named lines this bank touched, first-touch order
+    std::unordered_map<LineId, Entry> data;  // address-derived lines
     GlobalStats stats;
+
+    const Entry* Find(LineId line, bool is_named) const;
+    Entry& FindOrAdd(LineId line, bool is_named);
+  };
+
+  // Per-cpu neighbourhoods for the holder-mask distance tests.
+  struct CpuMasks {
+    CpuMask core;    // SMT siblings, self included
+    CpuMask socket;  // same socket, self included
   };
 
   // Deferred name of one named line (see the AllocateLine overloads). Either
@@ -142,9 +194,17 @@ class CoherenceModel {
     std::string custom;
   };
 
-  // Distance from `cpu` to the nearest current holder of `e`.
+  // Named ids are the ones AllocateLine handed out; everything else (the
+  // address-derived data lines) goes through the hash map.
+  bool IsNamed(LineId line) const { return line - 1 < next_named_ - 1; }
+
+  // Topology::Between(cpu, other) from `cpu`'s core and socket masks.
+  Topology::Distance DistanceTo(int cpu, int other) const;
+  // Distance from `cpu` to the nearest current holder of `s`.
   Topology::Distance NearestHolder(int cpu, const LineState& s) const;
   Cycles TransferCost(Topology::Distance d) const;
+  // Adds `cpu` to the sharers, recording it as first_sharer if the set was empty.
+  static void AddSharer(LineState& s, int cpu);
 
   // tlblint: shard-local — resolves into the accessing cpu's own bank
   size_t BankIndexFor(int cpu) const {
@@ -155,8 +215,8 @@ class CoherenceModel {
   Bank& BankFor(int cpu) { return banks_[BankIndexFor(cpu)]; }  // tlblint: shard-local
   static void AccumulateStats(GlobalStats& into, const GlobalStats& from);
 
-  const Topology topo_;
   const CacheCosts costs_;
+  std::vector<CpuMasks> cpu_masks_;  // indexed by cpu
   std::vector<Bank> banks_{1};  // tlblint: banked(socket) single legacy directory until ConfigureBanks
   int cpus_per_bank_ = 1 << 30;
   std::vector<NameRec> named_;  // indexed by LineId - 1 (named ids are dense)

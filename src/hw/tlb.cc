@@ -7,8 +7,6 @@ namespace tlbsim {
 Tlb::Tlb(const TlbGeometry& geo) : geo_(geo) {
   slots_4k_.resize(static_cast<size_t>(geo_.sets_4k) * geo_.ways_4k);
   slots_2m_.resize(static_cast<size_t>(geo_.sets_2m) * geo_.ways_2m);
-  pcid_mark_.resize(kPcidSpace, 0);
-  frac_pcid_.resize(kPcidSpace);
 }
 
 namespace {
@@ -39,6 +37,7 @@ std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
     int matches = 0;
     int match_shift = 0;
     for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
+      if (Skip2M(s)) continue;
       uint64_t vpn = VpnOf(va, s);
       int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
       auto& arr = ArrayFor(s);
@@ -74,6 +73,7 @@ std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
 
 std::optional<TlbEntry> Tlb::Probe(uint16_t pcid, uint64_t va) const {
   for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
+    if (Skip2M(s)) continue;
     uint64_t vpn = VpnOf(va, s);
     int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
     const auto& arr = ArrayFor(s);
@@ -94,6 +94,9 @@ void Tlb::Insert(const TlbEntry& e) {
     observer_->OnTlbInsert(e);
   }
   ++stats_.inserts;
+  if (!e.global) {
+    GrowPcidArrays(e.pcid);
+  }
   auto& arr = ArrayFor(e.size);
   int ways = WaysFor(e.size);
   int set = static_cast<int>(e.vpn % static_cast<uint64_t>(SetsFor(e.size)));
@@ -130,6 +133,9 @@ void Tlb::Insert(const TlbEntry& e) {
       NoteFracturedDrop(victim->entry);
     }
   }
+  if (e.size == PageSize::k2M && !victim->valid) {
+    ++valid_2m_;
+  }
   victim->valid = true;
   victim->entry = e;
   victim->stamp = ++clock_;
@@ -139,6 +145,9 @@ void Tlb::Insert(const TlbEntry& e) {
 }
 
 int Tlb::DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals) {
+  if (Skip2M(s)) {
+    return 0;
+  }
   uint64_t vpn = VpnOf(va, s);
   int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
   auto& arr = ArrayFor(s);
@@ -156,6 +165,9 @@ int Tlb::DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals
         NoteFracturedDrop(slot.entry);
       }
       slot.valid = false;
+      if (s == PageSize::k2M) {
+        --valid_2m_;
+      }
       ++dropped;
     }
   }
@@ -197,6 +209,7 @@ void Tlb::DropTranslation(uint16_t pcid, uint64_t va) {
 void Tlb::FlushPcid(uint16_t pcid) {
   ++mut_gen_;
   ++stats_.full_flushes;
+  GrowPcidArrays(pcid);
   uint32_t& frac = FracCount(pcid);
   fractured_total_ -= frac;
   frac = 0;

@@ -31,6 +31,19 @@
 // flushes — a fractured entry that merely got evicted still forces the next
 // selective flush to degrade until a full flush clears the flag.
 //
+// Per-PCID arrays on demand: `pcid_mark_` and the fractured counters are
+// sized up to the highest PCID that has been inserted (non-global) or
+// flushed. Both arrays over all 4096 PCIDs would take 64 KB per TLB, most of
+// an iTLB's footprint, and dominate building a System. The sizing is exact:
+// only a live non-global slot reads its PCID's mark, and its PCID was
+// inserted.
+//
+// 2M occupancy count: the TLB counts 2M slots whose valid bit is set (+1
+// when a 2M entry lands in a slot that was not valid, -1 when one is
+// dropped; epoch-dead slots stay counted). While it is zero, flushes and
+// slow-path lookups skip the 2M set: most workloads never map a 2M page, and
+// the per-page INVLPG loop of a shootdown otherwise probes it every time.
+//
 // Fast-path lookups: workload inner loops hammer the same page, and at 224
 // CPUs the two-page-size way scan (up to ways_4k + ways_2m slots per lookup)
 // dominates simulated-access wall time. Lookup keeps a one-entry hit cache:
@@ -143,6 +156,10 @@ class Tlb {
   // Enumerates valid entries (for coherence property checks).
   std::vector<TlbEntry> Entries() const;
 
+  // 2M slots whose valid bit is set, epoch-dead ones included (see the
+  // header comment). While it is zero, lookups and flushes skip the 2M set.
+  size_t valid_2m_slots() const { return valid_2m_; }
+
   // tlbcheck hook: observer sees every Insert (null when checking off).
   void set_observer(TlbObserver* obs) { observer_ = obs; }
 
@@ -176,6 +193,18 @@ class Tlb {
 
   static size_t PcidIndex(uint16_t pcid) { return pcid & (kPcidSpace - 1); }
 
+  // Extends pcid_mark_ and frac_pcid_ to cover `pcid`. Called on every
+  // non-global insert and every PCID flush; IsLive and FracCount rely on it.
+  void GrowPcidArrays(uint16_t pcid) {
+    size_t need = PcidIndex(pcid) + 1;
+    if (need > pcid_mark_.size()) {
+      pcid_mark_.resize(need, 0);
+      frac_pcid_.resize(need);
+    }
+  }
+  // The 2M set can hold a match only while some 2M slot is valid.
+  bool Skip2M(PageSize s) const { return s == PageSize::k2M && valid_2m_ == 0; }
+
   // Live-fractured-entry accounting (see header comment). FracCount
   // normalizes the slot's generation before handing out the counter.
   uint32_t& FracCount(uint16_t pcid) {
@@ -196,11 +225,12 @@ class Tlb {
   std::vector<Slot> slots_4k_;
   std::vector<Slot> slots_2m_;
   uint64_t clock_ = 0;
+  uint32_t valid_2m_ = 0;  // 2M slots with the valid bit set (see header comment)
 
   // Flush marks (all start at 0; the first stamp handed out is 1).
   uint64_t mark_all_ = 0;
   uint64_t mark_nonglobal_ = 0;
-  std::vector<uint64_t> pcid_mark_;  // size kPcidSpace
+  std::vector<uint64_t> pcid_mark_;  // grown on demand, see GrowPcidArrays
 
   struct FracSlot {
     uint32_t count = 0;

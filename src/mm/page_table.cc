@@ -160,41 +160,6 @@ PageTable::WalkResult PageTable::Walk(uint64_t va, int walker_node) const {
   return WalkIn(root, va, walker_node);
 }
 
-void PageTable::VisitPresent(const Node& root, uint64_t lo, uint64_t hi,
-                             const std::function<void(uint64_t, Pte, PageSize)>& fn) {
-  // Recursive descent over the radix tree, pruned to [lo, hi).
-  struct Rec {
-    const std::function<void(uint64_t, Pte, PageSize)>& fn;
-    uint64_t lo, hi;
-    void Visit(const Node& node, int level, uint64_t base) {
-      uint64_t span = SpanAt(level);
-      for (uint64_t i = 0; i < kPtEntries; ++i) {
-        uint64_t va = base + i * span;
-        if (va >= hi || va + span <= lo) {
-          continue;
-        }
-        const Pte& e = node.entries[i];
-        if (level == 0) {
-          if (e.present()) {
-            fn(va, e, PageSize::k4K);
-          }
-        } else if (level == 1 && e.present() && e.huge()) {
-          fn(va, e, PageSize::k2M);
-        } else if (node.children[i]) {
-          Visit(*node.children[i], level - 1, va);
-        }
-      }
-    }
-  };
-  Rec rec{fn, lo, hi};
-  rec.Visit(root, kPtLevels - 1, 0);
-}
-
-void PageTable::ForEachPresent(uint64_t lo, uint64_t hi,
-                               const std::function<void(uint64_t, Pte, PageSize)>& fn) const {
-  VisitPresent(*root_, lo, hi, fn);
-}
-
 bool PageTable::PruneNode(Node& node, int level, uint64_t base, uint64_t lo, uint64_t hi,
                           uint64_t* node_count) {
   bool freed = false;

@@ -10,8 +10,11 @@
 // only coroutines with huge local state) fall through to the global
 // allocator. Pools are thread_local — the simulator is single-threaded, and
 // this keeps the pool lock-free without assuming it. Pooled memory is
-// retained for the life of the thread (it stays reachable from TLS roots, so
-// leak checkers are happy).
+// retained for the life of the thread and released when the thread exits:
+// a thread_local Releaser, armed the first time a frame is pushed into an
+// empty bucket (a cold path, so Free stays a pointer push), frees every
+// bucket from its destructor. A frame freed after that goes straight back to
+// the global allocator.
 #ifndef TLBSIM_SRC_SIM_FRAME_POOL_H_
 #define TLBSIM_SRC_SIM_FRAME_POOL_H_
 
@@ -50,6 +53,10 @@ class FramePool {
       ::operator delete(p, n);
       return;
     }
+    if (buckets_[b] == nullptr && !ArmReleaser()) {
+      ::operator delete(p, (b + 1) * kGranule);  // thread exit: lists already released
+      return;
+    }
     Node* node = static_cast<Node*>(p);
     node->next = buckets_[b];
     buckets_[b] = node;
@@ -70,8 +77,34 @@ class FramePool {
     return n == 0 ? 0 : (n + kGranule - 1) / kGranule - 1;
   }
 
+  // Frees this thread's free lists when the thread exits.
+  struct Releaser {
+    bool armed;  // zero-initialized: thread storage duration
+    ~Releaser() {
+      released_ = true;
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        while (Node* node = buckets_[b]) {
+          buckets_[b] = node->next;
+          ::operator delete(node, (b + 1) * kGranule);
+        }
+      }
+    }
+  };
+
+  // Constructs (and so registers the destructor of) this thread's Releaser.
+  // False once it has run: the thread is exiting and must not pool.
+  static bool ArmReleaser() noexcept {
+    if (released_) {
+      return false;
+    }
+    releaser_.armed = true;
+    return true;
+  }
+
   static inline thread_local Node* buckets_[kBuckets] = {};
   static inline thread_local Stats stats_{};
+  static inline thread_local bool released_ = false;
+  static inline thread_local Releaser releaser_;
 };
 
 // Base class injecting pooled frame allocation into a coroutine promise:

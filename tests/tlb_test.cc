@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -382,6 +384,324 @@ TEST(TlbPropertyTest, OccupancyNeverExceedsCapacity) {
                  static_cast<uint16_t>(rng.UniformInt(1, 4)), static_cast<uint64_t>(i)));
     EXPECT_LE(tlb.Occupancy(), 10u);  // 4*2 + 1*2
   }
+}
+
+// --- differential test against a naive scanning TLB -----------------------
+
+// Eagerly-invalidating set-associative TLB: every flush scans and clears
+// slots, fractured residency is recomputed by a scan, and the one-entry hit
+// cache is modelled from its definition. `valid_bit` mirrors the hardware
+// valid bit the 2M count tracks: set by an insert, cleared only by a
+// targeted drop (a flush kills a slot without clearing it).
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(const TlbGeometry& geo) : geo_(geo) {
+    slots_4k_.resize(static_cast<size_t>(geo.sets_4k * geo.ways_4k));
+    slots_2m_.resize(static_cast<size_t>(geo.sets_2m * geo.ways_2m));
+  }
+
+  std::optional<TlbEntry> Lookup(uint16_t pcid, uint64_t va) {
+    ++stats_.lookups;
+    if (fast_ != nullptr && pcid == fast_pcid_ && (va >> fast_shift_) == fast_vpn_) {
+      ++stats_.hits;
+      ++stats_.fastpath_hits;
+      fast_->stamp = ++clock_;
+      return fast_->entry;
+    }
+    std::optional<TlbEntry> first;
+    Slot* match = nullptr;
+    int matches = 0;
+    for (PageSize sz : {PageSize::k4K, PageSize::k2M}) {
+      for (Slot* slot : SetOf(sz, va >> ShiftOf(sz))) {
+        if (Matches(*slot, sz, va, pcid)) {
+          if (!first) first = slot->entry;
+          slot->stamp = ++clock_;
+          match = slot;
+          ++matches;
+        }
+      }
+    }
+    if (first) {
+      ++stats_.hits;
+    } else {
+      ++stats_.misses;
+    }
+    fast_ = matches == 1 ? match : nullptr;
+    if (fast_ != nullptr) {
+      fast_pcid_ = pcid;
+      fast_shift_ = static_cast<int>(ShiftOf(match->entry.size));
+      fast_vpn_ = va >> fast_shift_;
+    }
+    return first;
+  }
+
+  void Insert(const TlbEntry& e) {
+    fast_ = nullptr;
+    ++stats_.inserts;
+    std::vector<Slot*> set = SetOf(e.size, e.vpn);
+    // A live duplicate, else the first dead slot, else the LRU live slot.
+    Slot* victim = nullptr;
+    for (Slot* slot : set) {
+      if (slot->live && slot->entry.vpn == e.vpn && slot->entry.pcid == e.pcid &&
+          slot->entry.size == e.size) {
+        victim = slot;
+        break;
+      }
+    }
+    for (Slot* slot : set) {
+      if (victim == nullptr && !slot->live) victim = slot;
+    }
+    if (victim == nullptr) {
+      victim = set[0];
+      for (Slot* slot : set) {
+        if (slot->stamp < victim->stamp) victim = slot;
+      }
+    }
+    if (victim->live) {
+      ++stats_.evictions;
+      if (victim->entry.pcid != e.pcid) ++stats_.cross_pcid_evictions;
+    }
+    victim->entry = e;
+    victim->stamp = ++clock_;
+    victim->live = true;
+    victim->valid_bit = true;
+    if (e.fractured) fractured_flag_ = true;
+  }
+
+  bool InvlPg(uint16_t pcid, uint64_t va) { return Selective(pcid, va, /*globals=*/true); }
+  bool InvPcidAddr(uint16_t pcid, uint64_t va) { return Selective(pcid, va, /*globals=*/false); }
+
+  void DropTranslation(uint16_t pcid, uint64_t va) {
+    fast_ = nullptr;
+    Drop(pcid, va, /*globals=*/true);
+  }
+
+  void FlushPcid(uint16_t pcid) {
+    fast_ = nullptr;
+    ++stats_.full_flushes;
+    for (Slot* slot : All()) {
+      if (!slot->entry.global && slot->entry.pcid == pcid) slot->live = false;
+    }
+    RecomputeFractured();
+  }
+
+  void FlushAll(bool keep_globals) {
+    fast_ = nullptr;
+    ++stats_.full_flushes;
+    for (Slot* slot : All()) {
+      if (!keep_globals || !slot->entry.global) slot->live = false;
+    }
+    RecomputeFractured();
+  }
+
+  void set_fracture_degrade_enabled(bool on) { degrade_ = on; }
+  bool has_fractured() const { return fractured_flag_; }
+  const Tlb::Stats& stats() const { return stats_; }
+
+  std::vector<TlbEntry> Entries() {
+    std::vector<TlbEntry> out;
+    for (Slot* slot : All()) {
+      if (slot->live) out.push_back(slot->entry);
+    }
+    return out;
+  }
+
+  size_t valid_2m_slots() const {
+    size_t n = 0;
+    for (const Slot& slot : slots_2m_) n += slot.valid_bit ? 1 : 0;
+    return n;
+  }
+
+ private:
+  struct Slot {
+    TlbEntry entry;
+    uint64_t stamp = 0;
+    bool live = false;
+    bool valid_bit = false;
+  };
+
+  static bool Matches(const Slot& slot, PageSize sz, uint64_t va, uint16_t pcid) {
+    return slot.live && slot.entry.size == sz && slot.entry.vpn == (va >> ShiftOf(sz)) &&
+           (slot.entry.global || slot.entry.pcid == pcid);
+  }
+
+  std::vector<Slot*> SetOf(PageSize sz, uint64_t vpn) {
+    bool small = sz == PageSize::k4K;
+    int sets = small ? geo_.sets_4k : geo_.sets_2m;
+    int ways = small ? geo_.ways_4k : geo_.ways_2m;
+    std::vector<Slot>& arr = small ? slots_4k_ : slots_2m_;
+    size_t base = static_cast<size_t>(vpn % static_cast<uint64_t>(sets)) * static_cast<size_t>(ways);
+    std::vector<Slot*> out;
+    for (int w = 0; w < ways; ++w) out.push_back(&arr[base + static_cast<size_t>(w)]);
+    return out;
+  }
+
+  std::vector<Slot*> All() {
+    std::vector<Slot*> out;
+    for (Slot& slot : slots_4k_) out.push_back(&slot);
+    for (Slot& slot : slots_2m_) out.push_back(&slot);
+    return out;
+  }
+
+  bool Selective(uint16_t pcid, uint64_t va, bool globals) {
+    fast_ = nullptr;
+    ++stats_.selective_flushes;
+    if (fractured_flag_ && degrade_) {
+      ++stats_.fracture_forced_full;
+      FlushAll(/*keep_globals=*/false);
+      return true;
+    }
+    Drop(pcid, va, globals);
+    return false;
+  }
+
+  void Drop(uint16_t pcid, uint64_t va, bool globals) {
+    for (PageSize sz : {PageSize::k4K, PageSize::k2M}) {
+      for (Slot* slot : SetOf(sz, va >> ShiftOf(sz))) {
+        if (slot->live && slot->entry.size == sz && slot->entry.vpn == (va >> ShiftOf(sz)) &&
+            (slot->entry.pcid == pcid || (globals && slot->entry.global))) {
+          slot->live = false;
+          slot->valid_bit = false;
+        }
+      }
+    }
+  }
+
+  void RecomputeFractured() {
+    fractured_flag_ = false;
+    for (Slot* slot : All()) {
+      if (slot->live && slot->entry.fractured) fractured_flag_ = true;
+    }
+  }
+
+  TlbGeometry geo_;
+  std::vector<Slot> slots_4k_;
+  std::vector<Slot> slots_2m_;
+  uint64_t clock_ = 0;
+  bool fractured_flag_ = false;
+  bool degrade_ = true;
+  Tlb::Stats stats_;
+  Slot* fast_ = nullptr;
+  uint16_t fast_pcid_ = 0;
+  int fast_shift_ = 0;
+  uint64_t fast_vpn_ = 0;
+};
+
+void ExpectSameEntry(const TlbEntry& a, const TlbEntry& b, int step) {
+  EXPECT_EQ(a.vpn, b.vpn) << "step " << step;
+  EXPECT_EQ(a.pcid, b.pcid) << "step " << step;
+  EXPECT_EQ(a.pfn, b.pfn) << "step " << step;
+  EXPECT_EQ(a.flags, b.flags) << "step " << step;
+  EXPECT_EQ(a.size, b.size) << "step " << step;
+  EXPECT_EQ(a.global, b.global) << "step " << step;
+  EXPECT_EQ(a.fractured, b.fractured) << "step " << step;
+}
+
+void ExpectSameTlb(const Tlb& tlb, ReferenceTlb& ref, int step) {
+  const Tlb::Stats& s = tlb.stats();
+  const Tlb::Stats& r = ref.stats();
+  ASSERT_EQ(s.lookups, r.lookups) << "step " << step;
+  ASSERT_EQ(s.hits, r.hits) << "step " << step;
+  ASSERT_EQ(s.misses, r.misses) << "step " << step;
+  ASSERT_EQ(s.inserts, r.inserts) << "step " << step;
+  ASSERT_EQ(s.evictions, r.evictions) << "step " << step;
+  ASSERT_EQ(s.cross_pcid_evictions, r.cross_pcid_evictions) << "step " << step;
+  ASSERT_EQ(s.selective_flushes, r.selective_flushes) << "step " << step;
+  ASSERT_EQ(s.full_flushes, r.full_flushes) << "step " << step;
+  ASSERT_EQ(s.fracture_forced_full, r.fracture_forced_full) << "step " << step;
+  ASSERT_EQ(s.fastpath_hits, r.fastpath_hits) << "step " << step;
+  ASSERT_EQ(tlb.has_fractured(), ref.has_fractured()) << "step " << step;
+  ASSERT_EQ(tlb.valid_2m_slots(), ref.valid_2m_slots()) << "step " << step;
+  std::vector<TlbEntry> got = tlb.Entries();
+  std::vector<TlbEntry> want = ref.Entries();
+  ASSERT_EQ(tlb.Occupancy(), want.size()) << "step " << step;
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (size_t i = 0; i < got.size(); ++i) ExpectSameEntry(got[i], want[i], step);
+}
+
+// Seeded random Insert / Lookup / InvlPg / InvPcidAddr / DropTranslation /
+// FlushPcid / FlushAll sequences over 4K and 2M, global and fractured
+// entries and PCIDs up to 4095, including flushes of PCIDs never inserted.
+TEST(TlbDifferentialTest, MatchesScanningReference) {
+  TlbGeometry small;
+  small.sets_4k = 4;
+  small.ways_4k = 3;
+  small.sets_2m = 2;
+  small.ways_2m = 2;
+  for (const TlbGeometry& geo : {small, TlbGeometry{}}) {
+    for (uint64_t seed : {1ULL, 2ULL, 104729ULL}) {
+      Tlb tlb(geo);
+      ReferenceTlb ref(geo);
+      Rng rng(seed);
+      const uint16_t pcids[] = {0, 1, 2, 7, 4095};
+      auto pick_pcid = [&]() -> uint16_t {
+        if (rng.Chance(0.1)) return static_cast<uint16_t>(rng.UniformInt(0, 4095));
+        return pcids[rng.UniformInt(0, 4)];
+      };
+      // 4 huge regions with 16 small pages each, so 4K and 2M entries overlap.
+      auto pick_va = [&]() {
+        return (static_cast<uint64_t>(rng.UniformInt(0, 3)) << kHugeShift) |
+               (static_cast<uint64_t>(rng.UniformInt(0, 15)) << kPageShift) |
+               static_cast<uint64_t>(rng.UniformInt(0, 4095));
+      };
+      for (int step = 0; step < 20000; ++step) {
+        int64_t op = rng.UniformInt(0, 99);
+        uint16_t pcid = pick_pcid();
+        uint64_t va = pick_va();
+        if (op < 35) {
+          PageSize size = rng.Chance(0.25) ? PageSize::k2M : PageSize::k4K;
+          TlbEntry e = E(PageAlignDown(va, size), pcid, rng.UniformU64() % (1 << 20),
+                         /*global=*/rng.Chance(0.1), size, /*fractured=*/rng.Chance(0.03));
+          tlb.Insert(e);
+          ref.Insert(e);
+        } else if (op < 65) {
+          std::optional<TlbEntry> got = tlb.Lookup(pcid, va);
+          std::optional<TlbEntry> want = ref.Lookup(pcid, va);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed << " step " << step;
+          if (got) ExpectSameEntry(*got, *want, step);
+        } else if (op < 75) {
+          ASSERT_EQ(tlb.InvlPg(pcid, va), ref.InvlPg(pcid, va)) << "step " << step;
+        } else if (op < 83) {
+          ASSERT_EQ(tlb.InvPcidAddr(pcid, va), ref.InvPcidAddr(pcid, va)) << "step " << step;
+        } else if (op < 89) {
+          tlb.DropTranslation(pcid, va);
+          ref.DropTranslation(pcid, va);
+        } else if (op < 95) {
+          tlb.FlushPcid(pcid);
+          ref.FlushPcid(pcid);
+        } else if (op < 97) {
+          bool keep = rng.Chance(0.5);
+          tlb.FlushAll(keep);
+          ref.FlushAll(keep);
+        } else if (op < 98) {
+          bool on = rng.Chance(0.7);
+          tlb.set_fracture_degrade_enabled(on);
+          ref.set_fracture_degrade_enabled(on);
+        } else {
+          tlb.Probe(pcid, va);  // must not count or restamp
+        }
+        // Full state every step on the small geometry, sampled on the big one.
+        if (geo.sets_4k == small.sets_4k || step % 64 == 0) {
+          ExpectSameTlb(tlb, ref, step);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// The 2M count returns to zero once every 2M entry has been dropped, so the
+// skip comes back after a workload stops using huge pages.
+TEST(TlbDifferentialTest, TwoMegCountFallsBackToZero) {
+  Tlb tlb;
+  tlb.Insert(E(0x200000, 1, 9, false, PageSize::k2M));
+  tlb.Insert(E(0x400000, 2, 9, true, PageSize::k2M));
+  EXPECT_EQ(tlb.valid_2m_slots(), 2u);
+  tlb.InvPcidAddr(1, 0x200000);
+  tlb.DropTranslation(5, 0x400000);
+  EXPECT_EQ(tlb.valid_2m_slots(), 0u);
+  EXPECT_FALSE(tlb.Probe(1, 0x200000).has_value());
+  EXPECT_FALSE(tlb.Lookup(5, 0x400000).has_value());
 }
 
 }  // namespace
