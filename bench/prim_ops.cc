@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the simulator primitives: TLB lookup /
-// insert / INVLPG, page walks and present-leaf walks, coherence accesses,
-// System construction, engine event throughput, and a full end-to-end
-// shootdown simulation per iteration.
+// insert / INVLPG / construction, page walks and present-leaf walks,
+// coherence accesses, System construction, engine event throughput, and a
+// full end-to-end shootdown simulation per iteration.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -62,6 +62,43 @@ void BM_TlbInvlPgNo2M(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbInvlPgNo2M);
+
+void BM_TlbInvlPgEmptySet(benchmark::State& state) {
+  // INVLPG into a 4K set with no valid way on a TLB whose sets 0..63 are
+  // full: the responder's per-page flush of a page this cpu never cached.
+  Tlb tlb;
+  for (uint64_t vpn = 0; vpn < 128 * 12; ++vpn) {
+    if (vpn % 128 >= 64) continue;
+    TlbEntry e;
+    e.vpn = vpn;
+    e.pcid = 1;
+    e.pfn = vpn;
+    e.flags = PteFlags::kPresent;
+    tlb.Insert(e);
+  }
+  uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlb.InvlPg(1, (64 + i++ % 64) << kPageShift));
+  }
+}
+BENCHMARK(BM_TlbInvlPgEmptySet);
+
+void BM_TlbConstruction(benchmark::State& state) {
+  // One data TLB and one instruction TLB (SimCpu's geometries) built and
+  // destroyed; a System builds one pair per cpu.
+  TlbGeometry itlb_geo;
+  itlb_geo.sets_4k = 16;
+  itlb_geo.ways_4k = 8;
+  itlb_geo.sets_2m = 2;
+  itlb_geo.ways_2m = 4;
+  for (auto _ : state) {
+    Tlb dtlb;
+    Tlb itlb(itlb_geo);
+    benchmark::DoNotOptimize(&dtlb);
+    benchmark::DoNotOptimize(&itlb);
+  }
+}
+BENCHMARK(BM_TlbConstruction);
 
 void BM_PageWalk(benchmark::State& state) {
   PageTable pt;

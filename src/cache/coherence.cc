@@ -1,6 +1,8 @@
 #include "src/cache/coherence.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace tlbsim {
@@ -29,6 +31,7 @@ CoherenceModel::CoherenceModel(const Topology& topo, const CacheCosts& costs)
 LineId CoherenceModel::AllocateLine(std::string name) {
   LineId id = next_named_++;
   NameRec rec;
+  rec.first = id;
   rec.custom = std::move(name);
   named_.push_back(std::move(rec));
   return id;
@@ -37,6 +40,7 @@ LineId CoherenceModel::AllocateLine(std::string name) {
 LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const char* suffix) {
   LineId id = next_named_++;
   NameRec rec;
+  rec.first = id;
   rec.prefix = prefix;
   rec.index = index;
   rec.mid = suffix;
@@ -48,6 +52,7 @@ LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const ch
                                     uint64_t index2, const char* suffix) {
   LineId id = next_named_++;
   NameRec rec;
+  rec.first = id;
   rec.prefix = prefix;
   rec.index = index;
   rec.mid = mid;
@@ -55,6 +60,21 @@ LineId CoherenceModel::AllocateLine(const char* prefix, uint64_t index, const ch
   rec.suffix = suffix;
   named_.push_back(std::move(rec));
   return id;
+}
+
+LineId CoherenceModel::AllocateLines(const char* prefix, uint64_t index, const char* mid,
+                                     uint64_t count, const char* suffix) {
+  LineId first = next_named_;
+  if (count == 0) return first;
+  next_named_ += count;
+  NameRec rec;
+  rec.first = first;
+  rec.prefix = prefix;
+  rec.index = index;
+  rec.mid = mid;
+  rec.suffix = suffix;
+  named_.push_back(std::move(rec));
+  return first;
 }
 
 Topology::Distance CoherenceModel::DistanceTo(int cpu, int other) const {
@@ -320,10 +340,13 @@ size_t CoherenceModel::DirectoryEntries() const {
 }
 
 std::string CoherenceModel::NameOf(LineId line) const {
-  if (line == 0 || line > named_.size()) {
+  if (!IsNamed(line)) {
     return "<data>";
   }
-  const NameRec& rec = named_[static_cast<size_t>(line - 1)];
+  // The last record whose run starts at or before `line`.
+  auto it = std::upper_bound(named_.begin(), named_.end(), line,
+                             [](LineId l, const NameRec& r) { return l < r.first; });
+  const NameRec& rec = *std::prev(it);
   if (rec.prefix == nullptr) {
     return rec.custom;
   }
@@ -331,7 +354,7 @@ std::string CoherenceModel::NameOf(LineId line) const {
   name += std::to_string(rec.index);
   name += rec.mid;
   if (rec.suffix != nullptr) {
-    name += std::to_string(rec.index2);
+    name += std::to_string(rec.index2 + (line - rec.first));
     name += rec.suffix;
   }
   return name;

@@ -8,8 +8,11 @@
 // fewer distinct contended lines => fewer cross-core transfers per shootdown.
 //
 // Lines are identified by opaque LineIds. Kernel data structures allocate
-// named lines via AllocateLine(); data memory derives LineIds from physical
-// addresses via LineOfAddress().
+// named lines via AllocateLine() (one id) or AllocateLines() (a run of
+// consecutive ids under one name record, e.g. an initiator's cfd[0..n)
+// lines); data memory derives LineIds from physical addresses via
+// LineOfAddress(). A range costs one name record however long it is; NameOf
+// finds a line's record by binary search.
 //
 // Directory layout. Named ids are dense from 1, so each bank keeps them in
 // two vectors: a per-bank slot index (named id -> 1 + position, 0 = never
@@ -17,8 +20,9 @@
 // touched. Address-derived data lines (bit 63 set) are sparse and stay in a
 // per-bank hash map. The slot index costs 4 bytes per named id per bank; an
 // entry array over every named id would cost 88 bytes per id per bank, and
-// named lines grow with cpus^2 (the cfd[c][t] lines: 50 176 of them at 224
-// cpus), so a bank stores entries only for lines it actually touched.
+// named ids grow with cpus^2 (the cfd[c][t] ids: 50 176 of them at 224
+// cpus, most never used), so a bank stores entries only for lines it
+// actually touched.
 //
 // Holder masks. A line's sharers are a fixed 256-bit cpu mask (Topology
 // presets reach 224 cpus). The nearest holder, the farthest other holder and
@@ -121,6 +125,11 @@ class CoherenceModel {
   LineId AllocateLine(const char* prefix, uint64_t index, const char* suffix);
   LineId AllocateLine(const char* prefix, uint64_t index, const char* mid, uint64_t index2,
                       const char* suffix);
+  // Hands out `count` consecutive ids and returns the first; id first + k is
+  // named prefix + index + mid + k + suffix (e.g. "cpu3.cfd[17]"), exactly as
+  // `count` AllocateLine(prefix, index, mid, k, suffix) calls would name it.
+  LineId AllocateLines(const char* prefix, uint64_t index, const char* mid, uint64_t count,
+                       const char* suffix);
 
   // Derives a LineId for a physical data address (separate id space from
   // named lines).
@@ -183,9 +192,12 @@ class CoherenceModel {
     CpuMask socket;  // same socket, self included
   };
 
-  // Deferred name of one named line (see the AllocateLine overloads). Either
-  // `custom` is set, or the name is prefix + index + mid [+ index2 + suffix].
+  // Deferred name of a run of named lines starting at `first` (see the
+  // AllocateLine overloads and AllocateLines). Either `custom` is set (a run
+  // of one), or line first + k is named
+  // prefix + index + mid [+ (index2 + k) + suffix].
   struct NameRec {
+    LineId first = 0;
     const char* prefix = nullptr;
     uint64_t index = 0;
     const char* mid = nullptr;
@@ -219,7 +231,8 @@ class CoherenceModel {
   std::vector<CpuMasks> cpu_masks_;  // indexed by cpu
   std::vector<Bank> banks_{1};  // tlblint: banked(socket) single legacy directory until ConfigureBanks
   int cpus_per_bank_ = 1 << 30;
-  std::vector<NameRec> named_;  // indexed by LineId - 1 (named ids are dense)
+  // Records whose runs tile [1, next_named_), ascending by `first`.
+  std::vector<NameRec> named_;
   LineId next_named_ = 1;
 };
 

@@ -105,14 +105,14 @@ std::vector<int> ShootdownEngine::ComputeTargets(SimCpu& cpu, MmStruct& mm, bool
 bool ShootdownEngine::AckVisible(SimCpu& cpu, const std::vector<int>& targets) {
   PerCpu& my = kernel_->percpu(cpu.id());
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.CfdFor(t);
     if (cfd.done.is_set() && cfd.done.set_time() <= cpu.now()) {
       return true;
     }
   }
   // The poll itself touches the first outstanding CFD line.
   if (!targets.empty()) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(targets.front())];
+    Cfd& cfd = my.CfdFor(targets.front());
     cpu.AccessLine(cfd.line, AccessType::kRead);
   }
   return false;
@@ -260,7 +260,7 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, std::vector<Flu
     cpu.AdvanceInline(costs.stack_info_tlb_penalty);
   }
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.CfdFor(t);
     assert(!cfd.in_flight && "CFD reused while in flight");
     cfd.done.Clear();
     cfd.work = infos;
@@ -286,7 +286,7 @@ Co<void> ShootdownEngine::DoShootdown(SimCpu& cpu, MmStruct& mm, std::vector<Flu
   // Spin for every responder's acknowledgement.
   cpu.TracePhase("initiator: wait for acks");
   for (int t : targets) {
-    Cfd& cfd = *my.cfd_for_target[static_cast<size_t>(t)];
+    Cfd& cfd = my.CfdFor(t);
     while (!inject_.skip_ack_wait) {
       cpu.AccessLine(cfd.line, AccessType::kRead);
       if (cfd.done.is_set() && cfd.done.set_time() <= cpu.now()) {

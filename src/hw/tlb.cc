@@ -1,17 +1,52 @@
 #include "src/hw/tlb.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <type_traits>
 
 namespace tlbsim {
 
-Tlb::Tlb(const TlbGeometry& geo) : geo_(geo) {
-  slots_4k_.resize(static_cast<size_t>(geo_.sets_4k) * geo_.ways_4k);
-  slots_2m_.resize(static_cast<size_t>(geo_.sets_2m) * geo_.ways_2m);
+namespace {
+
+uint64_t VpnOf(uint64_t va, PageSize s) { return va >> ShiftOf(s); }
+
+// Calls fn(way) for each set bit of `mask`, lowest way first.
+template <typename Fn>
+void ForEachWay(uint32_t mask, Fn&& fn) {
+  for (; mask != 0; mask &= mask - 1) {
+    fn(std::countr_zero(mask));
+  }
 }
 
-namespace {
-uint64_t VpnOf(uint64_t va, PageSize s) { return va >> ShiftOf(s); }
 }  // namespace
+
+void Tlb::Array::Init(int num_sets, int num_ways) {
+  if (num_sets < 1 || !std::has_single_bit(static_cast<unsigned>(num_sets)) ||
+      num_ways < 1 || num_ways > kMaxWays) {
+    std::fprintf(stderr,
+                 "tlbsim: TLB geometry %d sets x %d ways; sets must be a power of two and "
+                 "ways at most %d (the valid-mask width)\n",
+                 num_sets, num_ways, kMaxWays);
+    std::abort();
+  }
+  sets = num_sets;
+  ways = num_ways;
+  size_t n = static_cast<size_t>(num_sets) * static_cast<size_t>(num_ways);
+  slots = std::make_unique_for_overwrite<Slot[]>(n);
+#ifndef NDEBUG
+  std::memset(static_cast<void*>(slots.get()), 0xA5, n * sizeof(Slot));
+#endif
+  valid.assign(static_cast<size_t>(num_sets), 0);
+}
+
+Tlb::Tlb(const TlbGeometry& geo) {
+  static_assert(std::is_trivially_default_constructible_v<Slot>);
+  arr_4k_.Init(geo.sets_4k, geo.ways_4k);
+  arr_2m_.Init(geo.sets_2m, geo.ways_2m);
+}
 
 std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
   // Fast path: same page, same PCID, nothing mutated since the arm. The full
@@ -25,7 +60,7 @@ std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
     ++stats_.hits;
     ++stats_.fastpath_hits;
     fast_slot_->stamp = ++clock_;
-    return fast_slot_->entry;
+    return fast_slot_->entry();
   }
   ++stats_.lookups;
   auto r = Probe(pcid, va);
@@ -39,18 +74,19 @@ std::optional<TlbEntry> Tlb::Lookup(uint16_t pcid, uint64_t va) {
     for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
       if (Skip2M(s)) continue;
       uint64_t vpn = VpnOf(va, s);
-      int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
-      auto& arr = ArrayFor(s);
-      for (int w = 0; w < WaysFor(s); ++w) {
-        Slot& slot = arr[static_cast<size_t>(set) * WaysFor(s) + w];
-        if (IsLive(slot) && slot.entry.vpn == vpn && slot.entry.size == s &&
-            (slot.entry.global || slot.entry.pcid == pcid)) {
+      const Array& arr = ArrayFor(s);
+      int set = arr.SetOf(vpn);
+      Slot* base = arr.Set(set);
+      ForEachWay(arr.valid[static_cast<size_t>(set)], [&](int w) {
+        Slot& slot = base[w];
+        if (IsLive(slot) && slot.entry().vpn == vpn &&
+            (slot.entry().global || slot.entry().pcid == pcid)) {
           slot.stamp = ++clock_;
           match = &slot;
           ++matches;
           match_shift = ShiftOf(s);
         }
-      }
+      });
     }
     // Arm only on a unique match: with two matches (e.g. a global and a
     // non-global entry, or a 4K entry under a 2M one) the scan restamps
@@ -75,13 +111,14 @@ std::optional<TlbEntry> Tlb::Probe(uint16_t pcid, uint64_t va) const {
   for (PageSize s : {PageSize::k4K, PageSize::k2M}) {
     if (Skip2M(s)) continue;
     uint64_t vpn = VpnOf(va, s);
-    int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
-    const auto& arr = ArrayFor(s);
-    for (int w = 0; w < WaysFor(s); ++w) {
-      const Slot& slot = arr[static_cast<size_t>(set) * WaysFor(s) + w];
-      if (IsLive(slot) && slot.entry.vpn == vpn && slot.entry.size == s &&
-          (slot.entry.global || slot.entry.pcid == pcid)) {
-        return slot.entry;
+    const Array& arr = ArrayFor(s);
+    int set = arr.SetOf(vpn);
+    const Slot* base = arr.Set(set);
+    for (uint32_t bits = arr.valid[static_cast<size_t>(set)]; bits != 0; bits &= bits - 1) {
+      const Slot& slot = base[std::countr_zero(bits)];
+      if (IsLive(slot) && slot.entry().vpn == vpn &&
+          (slot.entry().global || slot.entry().pcid == pcid)) {
+        return slot.entry();
       }
     }
   }
@@ -97,48 +134,56 @@ void Tlb::Insert(const TlbEntry& e) {
   if (!e.global) {
     GrowPcidArrays(e.pcid);
   }
-  auto& arr = ArrayFor(e.size);
-  int ways = WaysFor(e.size);
-  int set = static_cast<int>(e.vpn % static_cast<uint64_t>(SetsFor(e.size)));
-  // Victim preference: a stale duplicate, else the first dead slot in way
-  // order, else LRU among live slots. Epoch-dead slots count as dead here,
-  // which keeps victim choice identical to the eager-invalidate scheme.
-  Slot* victim = nullptr;
-  bool victim_live = false;
-  for (int w = 0; w < ways; ++w) {
-    Slot& slot = arr[static_cast<size_t>(set) * ways + w];
-    bool live = IsLive(slot);
-    if (live && slot.entry.vpn == e.vpn && slot.entry.pcid == e.pcid &&
-        slot.entry.size == e.size) {
-      victim = &slot;  // overwrite stale duplicate
-      victim_live = true;
+  Array& arr = ArrayFor(e.size);
+  int set = arr.SetOf(e.vpn);
+  Slot* base = arr.Set(set);
+  uint16_t& valid = arr.valid[static_cast<size_t>(set)];
+  // Victim preference: a stale duplicate, else the first dead way in way
+  // order (invalid, or valid but epoch-dead), else LRU among live ways.
+  // Epoch-dead slots count as dead here, which keeps victim choice identical
+  // to the eager-invalidate scheme. Only ways whose valid bit is set are read.
+  int victim = -1;
+  int lru = -1;
+  uint64_t lru_stamp = UINT64_MAX;
+  uint32_t live = 0;
+  for (uint32_t bits = valid; bits != 0; bits &= bits - 1) {
+    int w = std::countr_zero(bits);
+    const Slot& slot = base[w];
+    if (!IsLive(slot)) continue;
+    if (slot.entry().vpn == e.vpn && slot.entry().pcid == e.pcid) {
+      victim = w;  // overwrite stale duplicate
       break;
     }
-    if (!live) {
-      if (victim == nullptr || victim_live) {
-        victim = &slot;
-        victim_live = false;
-      }
-    } else if (victim == nullptr || (victim_live && slot.stamp < victim->stamp)) {
-      victim = &slot;
-      victim_live = true;
+    live |= 1u << w;
+    if (slot.stamp < lru_stamp) {
+      lru = w;
+      lru_stamp = slot.stamp;
     }
   }
+  bool victim_live = true;
+  if (victim < 0) {
+    uint32_t dead = ~live & ((1u << arr.ways) - 1);
+    victim_live = dead == 0;
+    victim = victim_live ? lru : std::countr_zero(dead);
+  }
+  Slot& v = base[victim];
   if (victim_live) {
     ++stats_.evictions;
-    if (victim->entry.pcid != e.pcid) {
+    if (v.entry().pcid != e.pcid) {
       ++stats_.cross_pcid_evictions;  // PCID-sharing pressure (paper §3.3)
     }
-    if (victim->entry.fractured) {
-      NoteFracturedDrop(victim->entry);
+    if (v.entry().fractured) {
+      NoteFracturedDrop(v.entry());
     }
   }
-  if (e.size == PageSize::k2M && !victim->valid) {
-    ++valid_2m_;
+  uint16_t bit = static_cast<uint16_t>(1u << victim);
+  if ((valid & bit) == 0) {
+    valid |= bit;
+    if (e.size == PageSize::k2M) {
+      ++valid_2m_;
+    }
   }
-  victim->valid = true;
-  victim->entry = e;
-  victim->stamp = ++clock_;
+  v.Fill(e, ++clock_);
   if (e.fractured) {
     NoteFracturedInsert(e);
   }
@@ -149,28 +194,29 @@ int Tlb::DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals
     return 0;
   }
   uint64_t vpn = VpnOf(va, s);
-  int set = static_cast<int>(vpn % static_cast<uint64_t>(SetsFor(s)));
-  auto& arr = ArrayFor(s);
-  int ways = WaysFor(s);
+  Array& arr = ArrayFor(s);
+  int set = arr.SetOf(vpn);
+  Slot* base = arr.Set(set);
+  uint16_t& valid = arr.valid[static_cast<size_t>(set)];
   int dropped = 0;
-  for (int w = 0; w < ways; ++w) {
-    Slot& slot = arr[static_cast<size_t>(set) * ways + w];
-    if (!IsLive(slot) || slot.entry.vpn != vpn || slot.entry.size != s) {
-      continue;
+  ForEachWay(valid, [&](int w) {
+    const TlbEntry& en = base[w].entry();
+    if (!IsLive(base[w]) || en.vpn != vpn) {
+      return;
     }
-    bool pcid_match = slot.entry.pcid == pcid;
-    bool global_match = match_globals && slot.entry.global;
+    bool pcid_match = en.pcid == pcid;
+    bool global_match = match_globals && en.global;
     if (pcid_match || global_match) {
-      if (slot.entry.fractured) {
-        NoteFracturedDrop(slot.entry);
+      if (en.fractured) {
+        NoteFracturedDrop(en);
       }
-      slot.valid = false;
+      valid = static_cast<uint16_t>(valid & ~(1u << w));
       if (s == PageSize::k2M) {
         --valid_2m_;
       }
       ++dropped;
     }
-  }
+  });
   return dropped;
 }
 
@@ -253,27 +299,27 @@ void Tlb::NoteFracturedDrop(const TlbEntry& e) {
   --fractured_total_;
 }
 
-size_t Tlb::Occupancy() const {
-  size_t n = 0;
-  for (const auto* arr : {&slots_4k_, &slots_2m_}) {
-    for (const Slot& slot : *arr) {
-      if (IsLive(slot)) {
-        ++n;
-      }
+template <typename Fn>
+void Tlb::ForEachLive(Fn&& fn) const {
+  for (const Array* arr : {&arr_4k_, &arr_2m_}) {
+    for (int set = 0; set < arr->sets; ++set) {
+      const Slot* base = arr->Set(set);
+      ForEachWay(arr->valid[static_cast<size_t>(set)], [&](int w) {
+        if (IsLive(base[w])) fn(base[w]);
+      });
     }
   }
+}
+
+size_t Tlb::Occupancy() const {
+  size_t n = 0;
+  ForEachLive([&](const Slot&) { ++n; });
   return n;
 }
 
 std::vector<TlbEntry> Tlb::Entries() const {
   std::vector<TlbEntry> out;
-  for (const auto* arr : {&slots_4k_, &slots_2m_}) {
-    for (const Slot& slot : *arr) {
-      if (IsLive(slot)) {
-        out.push_back(slot.entry);
-      }
-    }
-  }
+  ForEachLive([&](const Slot& slot) { out.push_back(slot.entry()); });
   return out;
 }
 

@@ -17,8 +17,9 @@
 // clock), and the TLB keeps three flush marks: `mark_all_` (kills every
 // entry born at or before it), `mark_nonglobal_` (same, but G-bit entries
 // survive) and `pcid_mark_[pcid]` (non-global entries of one PCID). A slot
-// is live iff it is valid and its stamp is newer than every mark that
-// applies to it; a flush just records the current clock in the right mark.
+// is live iff its way's valid bit is set and its stamp is newer than every
+// mark that applies to it; a flush just records the current clock in the
+// right mark.
 // Epoch-dead slots are treated exactly like invalid ones everywhere (lookup,
 // victim choice, occupancy), so behavior — including victim order and every
 // Stats counter — is bit-for-bit what the scanning implementation produced.
@@ -34,15 +35,28 @@
 // Per-PCID arrays on demand: `pcid_mark_` and the fractured counters are
 // sized up to the highest PCID that has been inserted (non-global) or
 // flushed. Both arrays over all 4096 PCIDs would take 64 KB per TLB, most of
-// an iTLB's footprint, and dominate building a System. The sizing is exact:
-// only a live non-global slot reads its PCID's mark, and its PCID was
-// inserted.
+// an iTLB's footprint. The sizing is exact: only a live non-global slot
+// reads its PCID's mark, and its PCID was inserted.
 //
-// 2M occupancy count: the TLB counts 2M slots whose valid bit is set (+1
-// when a 2M entry lands in a slot that was not valid, -1 when one is
-// dropped; epoch-dead slots stay counted). While it is zero, flushes and
-// slow-path lookups skip the 2M set: most workloads never map a 2M page, and
-// the per-page INVLPG loop of a shootdown otherwise probes it every time.
+// Valid masks over untouched storage: slots carry no valid bit. Each set
+// keeps a 16-bit mask of the ways that hold an entry (one mask array per page
+// size), so a geometry may have at most 16 ways; the constructor aborts on
+// more, and on a set count that is not a power of two (sets are picked by
+// mask, not by a 64-bit divide). Every way loop (Probe, the Lookup slow path, DropMatching, Insert,
+// Occupancy, Entries) visits only the set bits, so a flush into a set that
+// holds nothing costs one mask load. Slot storage is allocated without being
+// initialized: only the masks are zeroed, and a set's memory is first
+// written (and faulted in) when an entry lands there. A 224-cpu System has
+// 224 data TLBs of 1 568 slots, nearly all of which stay empty for a whole
+// run. Builds without NDEBUG fill fresh slot storage with a poison pattern,
+// so code that reads a slot whose mask bit is clear gets a wrong answer a
+// test can catch instead of a lucky zero.
+//
+// 2M occupancy count: the TLB counts 2M slots whose mask bit is set (+1 when
+// a 2M entry lands in a way whose bit was clear, -1 when one is dropped;
+// epoch-dead slots stay counted). While it is zero, flushes and slow-path
+// lookups skip the 2M set: most workloads never map a 2M page, and the
+// per-page INVLPG loop of a shootdown otherwise probes it every time.
 //
 // Fast-path lookups: workload inner loops hammer the same page, and at 224
 // CPUs the two-page-size way scan (up to ways_4k + ways_2m slots per lookup)
@@ -59,6 +73,8 @@
 #define TLBSIM_SRC_HW_TLB_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -108,7 +124,15 @@ class Tlb {
     uint64_t fastpath_hits = 0;  // hits served by the one-entry hit cache
   };
 
+  // Aborts unless both page sizes have a power-of-two set count and at most
+  // kMaxWays ways.
   explicit Tlb(const TlbGeometry& geo = TlbGeometry{});
+  // A copy would carry fast_slot_ pointing into the source's slots.
+  Tlb(const Tlb&) = delete;
+  Tlb& operator=(const Tlb&) = delete;
+
+  // Width of the per-set valid masks (see the header comment).
+  static constexpr int kMaxWays = 16;
 
   // Looks up `va` under `pcid` (global entries match any pcid).
   std::optional<TlbEntry> Lookup(uint16_t pcid, uint64_t va);
@@ -167,28 +191,53 @@ class Tlb {
   // x86 PCIDs are 12-bit.
   static constexpr int kPcidSpace = 4096;
 
+  // Trivially default-constructible so slot storage can stay untouched until
+  // an entry lands in it: Fill begins the entry's lifetime in `storage`. A
+  // slot is meaningful only while its way's bit is set in its set's mask.
   struct Slot {
-    TlbEntry entry;
-    uint64_t stamp = 0;  // LRU stamp and birth mark (see header comment)
-    bool valid = false;
+    alignas(TlbEntry) unsigned char storage[sizeof(TlbEntry)];
+    uint64_t stamp;  // LRU stamp and birth mark (see header comment)
+
+    const TlbEntry& entry() const {
+      return *std::launder(reinterpret_cast<const TlbEntry*>(storage));
+    }
+    void Fill(const TlbEntry& e, uint64_t birth) {
+      ::new (static_cast<void*>(storage)) TlbEntry(e);
+      stamp = birth;
+    }
   };
 
-  std::vector<Slot>& ArrayFor(PageSize s) { return s == PageSize::k4K ? slots_4k_ : slots_2m_; }
-  const std::vector<Slot>& ArrayFor(PageSize s) const {
-    return s == PageSize::k4K ? slots_4k_ : slots_2m_;
-  }
-  int SetsFor(PageSize s) const { return s == PageSize::k4K ? geo_.sets_4k : geo_.sets_2m; }
-  int WaysFor(PageSize s) const { return s == PageSize::k4K ? geo_.ways_4k : geo_.ways_2m; }
+  // One page size's slots (set-major, way-minor) and per-set valid masks.
+  // An array holds entries of its own page size only.
+  struct Array {
+    std::unique_ptr<Slot[]> slots;
+    std::vector<uint16_t> valid;  // bit w set: way w holds an entry
+    int sets = 0;
+    int ways = 0;
 
-  // Valid and born after every flush mark that applies to it.
+    void Init(int num_sets, int num_ways);
+    // vpn % sets as a mask: a 64-bit divide at the head of every way scan
+    // costs more than the scan of a set that holds nothing.
+    int SetOf(uint64_t vpn) const {
+      return static_cast<int>(vpn & static_cast<uint64_t>(sets - 1));
+    }
+    Slot* Set(int set) const { return slots.get() + static_cast<size_t>(set) * ways; }
+  };
+
+  Array& ArrayFor(PageSize s) { return s == PageSize::k4K ? arr_4k_ : arr_2m_; }
+  const Array& ArrayFor(PageSize s) const { return s == PageSize::k4K ? arr_4k_ : arr_2m_; }
+
+  // A slot whose valid bit is set is live iff it was born after every flush
+  // mark that applies to it.
   bool IsLive(const Slot& slot) const {
-    if (!slot.valid || slot.stamp <= mark_all_) {
+    if (slot.stamp <= mark_all_) {
       return false;
     }
-    if (slot.entry.global) {
+    if (slot.entry().global) {
       return true;
     }
-    return slot.stamp > mark_nonglobal_ && slot.stamp > pcid_mark_[PcidIndex(slot.entry.pcid)];
+    return slot.stamp > mark_nonglobal_ &&
+           slot.stamp > pcid_mark_[PcidIndex(slot.entry().pcid)];
   }
 
   static size_t PcidIndex(uint16_t pcid) { return pcid & (kPcidSpace - 1); }
@@ -218,12 +267,15 @@ class Tlb {
   void NoteFracturedInsert(const TlbEntry& e);
   void NoteFracturedDrop(const TlbEntry& e);
 
+  // Calls fn(slot) for each live slot: 4K sets then 2M sets, way order.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const;
+
   // Drops matching entries of one page size; returns count dropped.
   int DropMatching(PageSize s, uint16_t pcid, uint64_t va, bool match_globals);
 
-  TlbGeometry geo_;
-  std::vector<Slot> slots_4k_;
-  std::vector<Slot> slots_2m_;
+  Array arr_4k_;
+  Array arr_2m_;
   uint64_t clock_ = 0;
   uint32_t valid_2m_ = 0;  // 2M slots with the valid bit set (see header comment)
 
@@ -248,7 +300,7 @@ class Tlb {
 
   // One-entry fast-path hit cache (see header comment). Armed iff
   // fast_slot_ != nullptr && fast_gen_ == mut_gen_. Slot pointers are stable:
-  // the slot arrays never resize after construction.
+  // the slot arrays are allocated once, at construction.
   Slot* fast_slot_ = nullptr;
   uint64_t fast_vpn_ = 0;
   uint16_t fast_pcid_ = 0;

@@ -11,6 +11,13 @@
 //   Consolidated layout (Figure 4b):
 //     - the lazy flag is colocated with the csq head (read together);
 //     - flush_tlb_info is inlined into the CFD (one line carries everything).
+//
+// CFDs are created on first use. A CPU reserves one line id per possible
+// target up front (one named range, so ids and names do not depend on which
+// CFDs a run uses), but builds target t's Cfd only when CfdFor(t) is first
+// called. A 224-cpu System would otherwise build 50 176 Cfds, while a
+// socket-confined run uses at most cpus_per_socket per initiator. Only the
+// initiator's own (shard) thread calls CfdFor on its PerCpu.
 #ifndef TLBSIM_SRC_KERNEL_PERCPU_H_
 #define TLBSIM_SRC_KERNEL_PERCPU_H_
 
@@ -82,7 +89,8 @@ struct DeferredUserFlush {
 };
 
 struct PerCpu {
-  PerCpu(Engine* engine, CoherenceModel* coherence, int cpu, int num_cpus) {
+  PerCpu(Engine* engine, CoherenceModel* coherence, int cpu, int num_cpus)
+      : engine_(engine), cfds_(static_cast<size_t>(num_cpus)) {
     // Allocation-free naming (names materialize only if NameOf is called):
     // PerCpu construction runs once per CPU per simulated System, thousands
     // of times across a bench sweep.
@@ -90,15 +98,24 @@ struct PerCpu {
     tlbstate_line = coherence->AllocateLine("cpu", c, ".tlbstate");
     csq_line = coherence->AllocateLine("cpu", c, ".call_single_queue");
     stack_info_line = coherence->AllocateLine("cpu", c, ".stack_flush_info");
-    cfd_for_target.reserve(static_cast<size_t>(num_cpus));
-    for (int t = 0; t < num_cpus; ++t) {
-      auto cfd = std::make_unique<Cfd>(engine);
-      cfd->line = coherence->AllocateLine("cpu", c, ".cfd[", static_cast<uint64_t>(t), "]");
-      cfd_for_target.push_back(std::move(cfd));
-    }
+    first_cfd_line_ =
+        coherence->AllocateLines("cpu", c, ".cfd[", static_cast<uint64_t>(num_cpus), "]");
   }
   PerCpu(const PerCpu&) = delete;
   PerCpu& operator=(const PerCpu&) = delete;
+
+  // This CPU's call-function data for `target`, built on first use with line
+  // first_cfd_line + target ("cpu<c>.cfd[<target>]").
+  Cfd& CfdFor(int target) {
+    std::unique_ptr<Cfd>& cfd = cfds_[static_cast<size_t>(target)];
+    if (cfd == nullptr) {
+      cfd = std::make_unique<Cfd>(engine_);
+      cfd->line = first_cfd_line_ + static_cast<LineId>(target);
+    }
+    return *cfd;
+  }
+  // Indexed by target; null where CfdFor was never called.
+  const std::vector<std::unique_ptr<Cfd>>& cfds() const { return cfds_; }
 
   // --- cpu_tlbstate ---
   MmStruct* loaded_mm = nullptr;
@@ -130,12 +147,16 @@ struct PerCpu {
   std::deque<Cfd*> csq;  // call single queue (llist of pending CFDs)
   // Initiator-owned flush info used by the split layout ("on the stack").
   FlushTlbInfo stack_info;
-  std::vector<std::unique_ptr<Cfd>> cfd_for_target;
 
   // --- cachelines ---
   LineId tlbstate_line;
   LineId csq_line;
   LineId stack_info_line;
+
+ private:
+  Engine* engine_;
+  LineId first_cfd_line_ = 0;
+  std::vector<std::unique_ptr<Cfd>> cfds_;
 };
 
 }  // namespace tlbsim

@@ -1,5 +1,6 @@
 #include "src/workloads/protocol_storm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -166,6 +167,12 @@ ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg) {
     r.shootdowns = sys.shootdown().stats().shootdowns;
   }
   r.flush_requests = k.stats().flush_requests;
+  for (int c = 0; c < cfg.topo.num_cpus(); ++c) {
+    const auto& cfds = k.percpu(c).cfds();
+    size_t built = static_cast<size_t>(
+        std::count_if(cfds.begin(), cfds.end(), [](const auto& cfd) { return cfd != nullptr; }));
+    r.max_cfds_per_cpu = std::max(r.max_cfds_per_cpu, built);
+  }
   r.metrics = SystemMetricsJson(sys);
   return r;
 }

@@ -32,6 +32,7 @@
 #ifndef TLBSIM_SRC_WORKLOADS_PROTOCOL_STORM_H_
 #define TLBSIM_SRC_WORKLOADS_PROTOCOL_STORM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -67,6 +68,7 @@ struct ProtocolStormResult {
   uint64_t checksum = 0;          // commutative (cpu, time, iter) hash
   Cycles end_time = 0;            // final virtual time
   Engine::ParallelStats par;      // phases / shard runs / shard events
+  size_t max_cfds_per_cpu = 0;    // most CFDs one initiator built (host footprint)
   Json metrics;                   // full registry snapshot (equality checks)
 };
 

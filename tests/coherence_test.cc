@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -539,6 +540,39 @@ TEST(CoherenceFootprintTest, BanksHoldOnlyTouchedNamedLines) {
   EXPECT_EQ(touched, static_cast<size_t>(topo.sockets * per_socket * per_socket));
   EXPECT_EQ(model.DirectoryEntries(), touched);
   EXPECT_LT(model.DirectoryEntries(), cfd.size());
+}
+
+// A named range hands out the ids and names the same lines get from one
+// AllocateLine call each, and lines allocated around it keep theirs.
+TEST(CoherenceNamesTest, RangesMatchPerLineAllocation) {
+  CacheCosts costs;
+  CoherenceModel ranged(Topology{}, costs);
+  CoherenceModel single(Topology{}, costs);
+  EXPECT_EQ(ranged.AllocateLine(std::string("mm0.tlb_gen")),
+            single.AllocateLine(std::string("mm0.tlb_gen")));
+  EXPECT_EQ(ranged.AllocateLine("cpu", 3, ".tlbstate"),
+            single.AllocateLine("cpu", 3, ".tlbstate"));
+  LineId first = ranged.AllocateLines("cpu", 3, ".cfd[", 17, "]");
+  for (uint64_t t = 0; t < 17; ++t) {
+    EXPECT_EQ(first + t, single.AllocateLine("cpu", 3, ".cfd[", t, "]"));
+  }
+  LineId empty = ranged.AllocateLines("cpu", 4, ".cfd[", 0, "]");  // takes no id
+  LineId slot = ranged.AllocateLine("q", 1, ".slot[", 9, "]");
+  EXPECT_EQ(empty, slot);
+  EXPECT_EQ(slot, single.AllocateLine("q", 1, ".slot[", 9, "]"));
+  EXPECT_EQ(ranged.AllocateLines("cpu", 5, ".cfd[", 1, "]"),
+            single.AllocateLine("cpu", 5, ".cfd[", 0, "]"));
+  EXPECT_EQ(ranged.AllocateLine(std::string("late custom")),
+            single.AllocateLine(std::string("late custom")));
+  LineId last = ranged.AllocateLine("mm", 2, ".mmap_sem");
+  EXPECT_EQ(last, single.AllocateLine("mm", 2, ".mmap_sem"));
+  for (LineId id = 0; id <= last + 2; ++id) {
+    EXPECT_EQ(ranged.NameOf(id), single.NameOf(id)) << "id " << id;
+  }
+  EXPECT_EQ(ranged.NameOf(first + 16), "cpu3.cfd[16]");
+  EXPECT_EQ(ranged.NameOf(last - 1), "late custom");
+  EXPECT_EQ(ranged.NameOf(last), "mm2.mmap_sem");
+  EXPECT_EQ(ranged.NameOf(CoherenceModel::LineOfAddress(0x1000)), "<data>");
 }
 
 }  // namespace

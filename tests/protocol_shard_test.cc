@@ -141,6 +141,18 @@ TEST(ProtocolShardTest, BackToBackStormsReuseShardThreads) {
   ExpectAggregatesEqual(ref, RunProtocolStorm(two));
 }
 
+TEST(ProtocolShardTest, ConfinedStormBuildsOnlySocketLocalCfds) {
+  // CFDs are built on first use, so an initiator whose shootdowns never
+  // leave its socket holds at most cpus_per_socket of them, not num_cpus.
+  ProtocolStormConfig cfg;
+  cfg.pages_per_cpu = 1;
+  cfg.iterations = 2;
+  cfg.sim_threads = 2;
+  ProtocolStormResult r = RunProtocolStorm(cfg);
+  EXPECT_GT(r.max_cfds_per_cpu, 0u);
+  EXPECT_LE(r.max_cfds_per_cpu, static_cast<size_t>(cfg.topo.cpus_per_socket()));
+}
+
 TEST(ProtocolShardTest, FastpathCountersSurviveSharding) {
   // The TLB fast path is per-CPU state driven purely by that CPU's access
   // stream, so its hit count must not depend on sharding or host threads.

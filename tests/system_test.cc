@@ -2,6 +2,8 @@
 // whole-system determinism, optimization-set plumbing, machine wiring.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/system.h"
 #include "tests/testutil.h"
 
@@ -25,6 +27,40 @@ TEST(MachineTest, PerCpuRngStreamsDiffer) {
   uint64_t a = m.cpu(0).rng().UniformU64();
   uint64_t b = m.cpu(1).rng().UniformU64();
   EXPECT_NE(a, b);
+}
+
+// Each cpu's named lines keep the ids and names one AllocateLine call per
+// line gave them: tlbstate, call_single_queue, stack_flush_info, then
+// cfd[0..n), cpu after cpu. CFDs are built on first use with those ids.
+TEST(PerCpuTest, CfdLinesKeepPerLineIdsAndNames) {
+  for (const Topology& topo : {Topology{}, Topology::EightSocket()}) {
+    SystemConfig cfg;
+    cfg.machine.topo = topo;
+    System sys(cfg);
+    CoherenceModel& coh = sys.machine().coherence();
+    const int n = topo.num_cpus();
+    const LineId base = sys.kernel().percpu(0).tlbstate_line;
+    for (int c = 0; c < n; ++c) {
+      PerCpu& pc = sys.kernel().percpu(c);
+      const LineId first = base + static_cast<LineId>(c) * static_cast<LineId>(n + 3);
+      const std::string cpu = "cpu" + std::to_string(c);
+      ASSERT_EQ(pc.tlbstate_line, first) << cpu;
+      EXPECT_EQ(pc.csq_line, first + 1) << cpu;
+      EXPECT_EQ(pc.stack_info_line, first + 2) << cpu;
+      EXPECT_EQ(coh.NameOf(pc.tlbstate_line), cpu + ".tlbstate");
+      EXPECT_EQ(coh.NameOf(pc.csq_line), cpu + ".call_single_queue");
+      EXPECT_EQ(coh.NameOf(pc.stack_info_line), cpu + ".stack_flush_info");
+      for (const auto& cfd : pc.cfds()) {
+        EXPECT_EQ(cfd, nullptr) << cpu << ": built before first use";
+      }
+      for (int t = 0; t < n; ++t) {
+        LineId line = pc.CfdFor(t).line;
+        ASSERT_EQ(line, first + 3 + static_cast<LineId>(t)) << cpu << " t" << t;
+        ASSERT_EQ(coh.NameOf(line), cpu + ".cfd[" + std::to_string(t) + "]");
+        ASSERT_EQ(&pc.CfdFor(t), pc.cfds()[static_cast<size_t>(t)].get());
+      }
+    }
+  }
 }
 
 TEST(OptimizationSetTest, CumulativePresetsAreMonotone) {

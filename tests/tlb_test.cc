@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -622,13 +623,29 @@ void ExpectSameTlb(const Tlb& tlb, ReferenceTlb& ref, int step) {
 // Seeded random Insert / Lookup / InvlPg / InvPcidAddr / DropTranslation /
 // FlushPcid / FlushAll sequences over 4K and 2M, global and fractured
 // entries and PCIDs up to 4095, including flushes of PCIDs never inserted.
+// Geometries: a small one, the default, the valid mask's full width (16
+// ways) and a single set. The first kFreshSteps steps spread addresses over
+// 512 pages and insert rarely, so flushes, probes and inserts land in sets
+// that were never written (on the default geometry, sets the later steps
+// never reach as well).
 TEST(TlbDifferentialTest, MatchesScanningReference) {
   TlbGeometry small;
   small.sets_4k = 4;
   small.ways_4k = 3;
   small.sets_2m = 2;
   small.ways_2m = 2;
-  for (const TlbGeometry& geo : {small, TlbGeometry{}}) {
+  TlbGeometry wide;
+  wide.sets_4k = 4;
+  wide.ways_4k = Tlb::kMaxWays;
+  wide.sets_2m = 2;
+  wide.ways_2m = Tlb::kMaxWays;
+  TlbGeometry one_set;
+  one_set.sets_4k = 1;
+  one_set.ways_4k = 5;
+  one_set.sets_2m = 1;
+  one_set.ways_2m = 3;
+  constexpr int kFreshSteps = 3000;
+  for (const TlbGeometry& geo : {small, TlbGeometry{}, wide, one_set}) {
     for (uint64_t seed : {1ULL, 2ULL, 104729ULL}) {
       Tlb tlb(geo);
       ReferenceTlb ref(geo);
@@ -638,16 +655,21 @@ TEST(TlbDifferentialTest, MatchesScanningReference) {
         if (rng.Chance(0.1)) return static_cast<uint16_t>(rng.UniformInt(0, 4095));
         return pcids[rng.UniformInt(0, 4)];
       };
-      // 4 huge regions with 16 small pages each, so 4K and 2M entries overlap.
-      auto pick_va = [&]() {
+      // 4 huge regions with 16 small pages each (512 in the fresh phase), so
+      // 4K and 2M entries overlap.
+      auto pick_va = [&](int pages) {
         return (static_cast<uint64_t>(rng.UniformInt(0, 3)) << kHugeShift) |
-               (static_cast<uint64_t>(rng.UniformInt(0, 15)) << kPageShift) |
+               (static_cast<uint64_t>(rng.UniformInt(0, pages - 1)) << kPageShift) |
                static_cast<uint64_t>(rng.UniformInt(0, 4095));
       };
       for (int step = 0; step < 20000; ++step) {
+        bool fresh = step < kFreshSteps;
         int64_t op = rng.UniformInt(0, 99);
         uint16_t pcid = pick_pcid();
-        uint64_t va = pick_va();
+        uint64_t va = pick_va(fresh ? 512 : 16);
+        if (fresh && op < 35 && !rng.Chance(0.15)) {
+          op = 98;  // mostly probe instead of insert
+        }
         if (op < 35) {
           PageSize size = rng.Chance(0.25) ? PageSize::k2M : PageSize::k4K;
           TlbEntry e = E(PageAlignDown(va, size), pcid, rng.UniformU64() % (1 << 20),
@@ -680,8 +702,8 @@ TEST(TlbDifferentialTest, MatchesScanningReference) {
         } else {
           tlb.Probe(pcid, va);  // must not count or restamp
         }
-        // Full state every step on the small geometry, sampled on the big one.
-        if (geo.sets_4k == small.sets_4k || step % 64 == 0) {
+        // Full state every step on the small geometries, sampled on the default.
+        if (geo.sets_4k * geo.ways_4k <= 64 || step % 64 == 0) {
           ExpectSameTlb(tlb, ref, step);
           if (::testing::Test::HasFatalFailure()) return;
         }
@@ -703,6 +725,41 @@ TEST(TlbDifferentialTest, TwoMegCountFallsBackToZero) {
   EXPECT_FALSE(tlb.Probe(1, 0x200000).has_value());
   EXPECT_FALSE(tlb.Lookup(5, 0x400000).has_value());
 }
+
+// Flushes and probes into sets that never held an entry change nothing, and
+// a later insert there evicts nothing.
+TEST(TlbTest, UntouchedSetsStayEmpty) {
+  Tlb tlb;
+  tlb.Insert(E(0x1000, 1, 7));
+  for (uint64_t page = 2; page < 128; ++page) {
+    EXPECT_FALSE(tlb.InvlPg(1, page << kPageShift));
+    EXPECT_FALSE(tlb.Probe(1, page << kPageShift).has_value());
+  }
+  EXPECT_EQ(tlb.Occupancy(), 1u);
+  tlb.Insert(E(0x5000, 1, 9));
+  std::vector<TlbEntry> entries = tlb.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].pfn, 7u);
+  EXPECT_EQ(entries[1].pfn, 9u);
+  EXPECT_EQ(tlb.stats().evictions, 0u);
+}
+
+// The per-set valid masks are 16 bits wide, and sets are picked by mask.
+TEST(TlbDeathTest, RejectsGeometriesTheMasksCannotHold) {
+  TlbGeometry wide;
+  wide.ways_4k = Tlb::kMaxWays + 1;
+  EXPECT_DEATH(Tlb{wide}, "at most 16");
+  TlbGeometry wide_2m;
+  wide_2m.ways_2m = Tlb::kMaxWays + 1;
+  EXPECT_DEATH(Tlb{wide_2m}, "at most 16");
+  TlbGeometry odd;
+  odd.sets_4k = 96;
+  EXPECT_DEATH(Tlb{odd}, "power of two");
+}
+
+// A copy would keep the source's fast-path slot pointer.
+static_assert(!std::is_copy_constructible_v<Tlb>);
+static_assert(!std::is_copy_assignable_v<Tlb>);
 
 }  // namespace
 }  // namespace tlbsim
