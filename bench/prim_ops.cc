@@ -1,16 +1,20 @@
 // google-benchmark microbenchmarks of the simulator primitives: TLB lookup /
 // insert / INVLPG / construction, page walks and present-leaf walks,
-// coherence accesses, System construction, engine event throughput, and a
+// coherence accesses, System construction, engine event throughput,
+// coroutine-frame pooling, the metrics snapshot of a 224-cpu storm, and a
 // full end-to-end shootdown simulation per iteration.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "src/core/snapshot.h"
 #include "src/core/system.h"
 #include "src/mm/phys.h"
 #include "src/hw/machine.h"
 #include "src/hw/mmu.h"
+#include "src/sim/frame_pool.h"
 #include "src/workloads/microbench.h"
+#include "src/workloads/protocol_storm.h"
 
 namespace tlbsim {
 namespace {
@@ -211,6 +215,31 @@ void BM_EngineEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EngineEventThroughput);
+
+void BM_FramePoolPingPong(benchmark::State& state) {
+  // One coroutine frame allocated and freed per iteration: every Free
+  // pushes into an empty bucket, the path that arms the thread's releaser.
+  for (auto _ : state) {
+    void* p = FramePool::Alloc(256);
+    benchmark::DoNotOptimize(p);
+    FramePool::Free(p, 256);
+  }
+}
+BENCHMARK(BM_FramePoolPingPong);
+
+void BM_StormSnapshot(benchmark::State& state) {
+  // SystemMetricsJson on the 224-cpu System a protocol storm leaves behind:
+  // the per-cpu counters of every cpu plus the banked histograms.
+  ProtocolStormConfig cfg;
+  cfg.iterations = 2;
+  std::unique_ptr<System> sys;
+  RunProtocolStorm(cfg, &sys);
+  for (auto _ : state) {
+    Json j = SystemMetricsJson(*sys);
+    benchmark::DoNotOptimize(j.size());
+  }
+}
+BENCHMARK(BM_StormSnapshot)->Unit(benchmark::kMillisecond);
 
 void BM_FullShootdownSimulation(benchmark::State& state) {
   // Wall-clock cost of simulating one complete madvise microbenchmark run

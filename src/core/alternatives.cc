@@ -78,7 +78,7 @@ Co<void> FreeBsdShootdownEngine::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t 
 
   co_await cpu.Execute(cpu.rng().Jitter(costs.flush_dispatch, costs.jitter_frac));
 
-  std::vector<int> targets;
+  CpuList targets;
   mm.cpumask.ForEachSet([&](int t) {
     if (t != cpu.id()) {
       targets.push_back(t);
@@ -175,7 +175,7 @@ Co<void> FreeBsdShootdownEngine::HandleFlushIrq(SimCpu& cpu) {
     Cfd* cfd = pc.csq.front();
     pc.csq.pop_front();
     cpu.AccessLine(cfd->line, AccessType::kRead);
-    std::vector<FlushTlbInfo> work = cfd->work;
+    FlushInfos work(cfd->work.begin(), cfd->work.end());
     co_await cpu.Execute(costs.handler_body);
     // No generation tracking: always perform the requested flush.
     for (const FlushTlbInfo& info : work) {

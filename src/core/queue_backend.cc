@@ -101,8 +101,8 @@ uint64_t QueueFlushBackend::RingOccupancy(int cpu) const {
   return q.head - q.tail;
 }
 
-std::vector<int> QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm) {
-  std::vector<int> targets;
+CpuList QueueFlushBackend::ComputeTargets(SimCpu& cpu, MmStruct& mm) {
+  CpuList targets;
   // Set-bit walk over the per-socket mask words (see ShootdownEngine).
   mm.cpumask.ForEachSet([&](int t) {
     if (t == cpu.id()) {
@@ -222,7 +222,7 @@ void QueueFlushBackend::EnqueueForTarget(SimCpu& cpu, MmStruct& mm, int target,
   HistFor(hb_ring_occupancy_, h_ring_occupancy_, cpu.id())->Record(static_cast<double>(occupancy));
 }
 
-bool QueueFlushBackend::AllAcked(SimCpu& cpu, const std::vector<int>& targets,
+bool QueueFlushBackend::AllAcked(SimCpu& cpu, std::span<const int> targets,
                                  uint64_t queue_gen) {
   for (int t : targets) {
     CpuQueue& q = *queues_[static_cast<size_t>(t)];
@@ -275,7 +275,7 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   // Local TLB first; remote work proceeds asynchronously from here on.
   co_await LocalFlush(cpu, mm, info);
 
-  std::vector<int> targets = ComputeTargets(cpu, mm);
+  CpuList targets = ComputeTargets(cpu, mm);
   if (targets.empty()) {
     ++StatsFor(cpu).local_only;
     if (ProtocolCheckSink* c = chk()) {
@@ -302,7 +302,7 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
   // Kick only responders without an IPI already pending: their in-progress
   // (or queued) drain will consume our entries too — that is the coalescing
   // the asynchronous design buys.
-  std::vector<int> ipi_targets;
+  CpuList ipi_targets;
   for (int t : targets) {
     CpuQueue& q = *queues_[static_cast<size_t>(t)];
     if (q.ipi_pending) {
@@ -345,7 +345,7 @@ Co<void> QueueFlushBackend::FlushRange(SimCpu& cpu, MmStruct& mm, uint64_t start
     }
     ++retries;
     budget *= static_cast<Cycles>(std::max(1, costs().queue_backoff_mult));
-    std::vector<int> unacked;
+    CpuList unacked;
     for (int t : targets) {
       CpuQueue& q = *queues_[static_cast<size_t>(t)];
       cpu.AccessLine(q.ctl_line, AccessType::kRead);

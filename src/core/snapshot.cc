@@ -4,37 +4,62 @@ namespace tlbsim {
 
 namespace {
 
-void SetTlbStats(MetricsRegistry& m, const char* prefix, int cpu, const Tlb::Stats& s) {
-  std::string p(prefix);
-  m.percpu(p + ".lookups").Set(cpu, s.lookups);
-  m.percpu(p + ".hits").Set(cpu, s.hits);
-  m.percpu(p + ".misses").Set(cpu, s.misses);
-  m.percpu(p + ".inserts").Set(cpu, s.inserts);
-  m.percpu(p + ".evictions").Set(cpu, s.evictions);
-  m.percpu(p + ".cross_pcid_evictions").Set(cpu, s.cross_pcid_evictions);
-  m.percpu(p + ".selective_flushes").Set(cpu, s.selective_flushes);
-  m.percpu(p + ".full_flushes").Set(cpu, s.full_flushes);
-  m.percpu(p + ".fracture_forced_full").Set(cpu, s.fracture_forced_full);
-  m.percpu(p + ".fastpath_hits").Set(cpu, s.fastpath_hits);
-}
+// One TLB's per-cpu counters, looked up once per snapshot instead of once
+// per cpu (each lookup builds a name string and walks the registry map).
+class TlbCounters {
+ public:
+  TlbCounters(MetricsRegistry& m, const std::string& prefix) {
+    static constexpr const char* kNames[kCount] = {
+        ".lookups",           ".hits",         ".misses",
+        ".inserts",           ".evictions",    ".cross_pcid_evictions",
+        ".selective_flushes", ".full_flushes", ".fracture_forced_full",
+        ".fastpath_hits"};
+    for (int i = 0; i < kCount; ++i) {
+      counters_[i] = &m.percpu(prefix + kNames[i]);
+    }
+  }
+
+  void Set(int cpu, const Tlb::Stats& s) const {
+    const uint64_t values[kCount] = {s.lookups,           s.hits,         s.misses,
+                                     s.inserts,           s.evictions,    s.cross_pcid_evictions,
+                                     s.selective_flushes, s.full_flushes, s.fracture_forced_full,
+                                     s.fastpath_hits};
+    for (int i = 0; i < kCount; ++i) {
+      counters_[i]->Set(cpu, values[i]);
+    }
+  }
+
+ private:
+  static constexpr int kCount = 10;
+  PerCpuCounter* counters_[kCount];
+};
 
 }  // namespace
 
 void CollectMachineMetrics(Machine& machine) {
   MetricsRegistry& m = machine.metrics();
+  const TlbCounters tlb(m, "tlb");
+  const TlbCounters itlb(m, "itlb");
+  PerCpuCounter& pwc_lookups = m.percpu("pwc.lookups");
+  PerCpuCounter& pwc_hits = m.percpu("pwc.hits");
+  PerCpuCounter& pwc_full_flushes = m.percpu("pwc.full_flushes");
+  PerCpuCounter& irqs_handled = m.percpu("cpu.irqs_handled");
+  PerCpuCounter& nmis_handled = m.percpu("cpu.nmis_handled");
+  PerCpuCounter& ipis_received = m.percpu("cpu.ipis_received");
+  PerCpuCounter& cycles_in_irq = m.percpu("cpu.cycles_in_irq");
   for (int i = 0; i < machine.num_cpus(); ++i) {
     SimCpu& cpu = machine.cpu(i);
-    SetTlbStats(m, "tlb", i, cpu.tlb().stats());
-    SetTlbStats(m, "itlb", i, cpu.itlb().stats());
+    tlb.Set(i, cpu.tlb().stats());
+    itlb.Set(i, cpu.itlb().stats());
     const PageWalkCache::Stats& pwc = cpu.pwc().stats();
-    m.percpu("pwc.lookups").Set(i, pwc.lookups);
-    m.percpu("pwc.hits").Set(i, pwc.hits);
-    m.percpu("pwc.full_flushes").Set(i, pwc.full_flushes);
+    pwc_lookups.Set(i, pwc.lookups);
+    pwc_hits.Set(i, pwc.hits);
+    pwc_full_flushes.Set(i, pwc.full_flushes);
     const SimCpu::Stats& cs = cpu.stats();
-    m.percpu("cpu.irqs_handled").Set(i, cs.irqs_handled);
-    m.percpu("cpu.nmis_handled").Set(i, cs.nmis_handled);
-    m.percpu("cpu.ipis_received").Set(i, cs.ipis_received);
-    m.percpu("cpu.cycles_in_irq").Set(i, static_cast<uint64_t>(cs.cycles_in_irq));
+    irqs_handled.Set(i, cs.irqs_handled);
+    nmis_handled.Set(i, cs.nmis_handled);
+    ipis_received.Set(i, cs.ipis_received);
+    cycles_in_irq.Set(i, static_cast<uint64_t>(cs.cycles_in_irq));
   }
   const CoherenceModel::GlobalStats& co = machine.coherence().global_stats();
   m.counter("coherence.accesses").Set(co.accesses);

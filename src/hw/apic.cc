@@ -1,7 +1,7 @@
 #include "src/hw/apic.h"
 
 #include <algorithm>
-#include <map>
+#include <cassert>
 
 namespace tlbsim {
 
@@ -57,10 +57,11 @@ void Apic::Deliver(SimCpu& sender, int target, int vector) {
   }
 }
 
-void Apic::SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector) {
+void Apic::SendIpi(SimCpu& sender, std::span<const int> targets, int vector) {
   if (targets.empty()) {
     return;
   }
+  assert(std::is_sorted(targets.begin(), targets.end()));
   Stats& bank = BankFor(sender.id());
   if (!use_multicast_) {
     for (int t : targets) {
@@ -70,17 +71,15 @@ void Apic::SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector) 
     }
     return;
   }
-  // Cluster-mode multicast: one ICR write per addressed cluster.
-  std::map<int, std::vector<int>> by_cluster;
-  for (int t : targets) {
-    by_cluster[t / kClusterSize].push_back(t);
-  }
-  for (auto& [cluster, members] : by_cluster) {
+  // Cluster-mode multicast: one ICR write per addressed cluster. Ascending
+  // targets put each cluster's members in one run.
+  for (size_t i = 0; i < targets.size();) {
+    int cluster = targets[i] / kClusterSize;
     sender.AdvanceInline(sender.rng().Jitter(costs_->ipi_icr_write, costs_->jitter_frac));
     ++bank.icr_writes;
     ++bank.multicast_messages;
-    for (int t : members) {
-      Deliver(sender, t, vector);
+    for (; i < targets.size() && targets[i] / kClusterSize == cluster; ++i) {
+      Deliver(sender, targets[i], vector);
     }
   }
 }

@@ -10,6 +10,7 @@
 #define TLBSIM_SRC_HW_APIC_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/cache/topology.h"
@@ -43,11 +44,12 @@ class Apic {
   // banks <= 1 keeps the legacy flat shape and metric names.
   void ConfigureBanks(int banks, int cpus_per_bank);
 
-  // Sends `vector` to every CPU in `targets`. The sender pays one ICR write
-  // per addressed cluster (or per target when multicast is disabled) inline
-  // on its local clock; deliveries are scheduled per-target with wire latency,
+  // Sends `vector` to every CPU in `targets`, which must be ascending (as
+  // every cpumask walk yields them). The sender pays one ICR write per
+  // addressed cluster (or per target when multicast is disabled) inline on
+  // its local clock; deliveries are scheduled per-target with wire latency,
   // on the target CPU's event shard (Engine::ScheduleOnCpu).
-  void SendIpi(SimCpu& sender, const std::vector<int>& targets, int vector);
+  void SendIpi(SimCpu& sender, std::span<const int> targets, int vector);
 
   // Sends an NMI to a single CPU.
   void SendNmi(SimCpu& sender, int target);

@@ -101,17 +101,9 @@ void SimCpu::Spawn(SimTask task) {
   Cycles at = std::max(now_, engine_->now());
   now_ = at;
   auto handle = task.Release();
-  // Chain a delivery kick onto task completion: a program that ends with
-  // masked-then-queued IRQs must not strand them.
-  InlineFn prev = std::move(handle.promise().on_done);
-  handle.promise().on_done = [this, prev = std::move(prev)] {
-    if (prev) {
-      prev();
-    }
-    if (armed_ == nullptr && HasDeliverablePending()) {
-      KickPendingDelivery();
-    }
-  };
+  // Chain a delivery kick onto task completion, after the task's own on_done.
+  handle.promise().after_done = &SimCpu::AfterTask;
+  handle.promise().after_done_arg = this;
   ++scheduled_resumes_;
   auto resume = [this, handle] {
     --scheduled_resumes_;
@@ -120,14 +112,11 @@ void SimCpu::Spawn(SimTask task) {
   engine_->ScheduleOnCpu(id_, at, std::move(resume));
 }
 
-void SimCpu::ScheduleResume(InlineFn fn) {
-  Cycles at = std::max(now_, engine_->now());
-  ++scheduled_resumes_;
-  auto resume = [this, fn = std::move(fn)] {
-    --scheduled_resumes_;
-    fn();
-  };
-  engine_->ScheduleOnCpu(id_, at, std::move(resume));
+void SimCpu::AfterTask(void* arg) {
+  SimCpu* cpu = static_cast<SimCpu*>(arg);
+  if (cpu->armed_ == nullptr && cpu->HasDeliverablePending()) {
+    cpu->KickPendingDelivery();
+  }
 }
 
 bool SimCpu::CanDeliver(int vector) const {
@@ -345,32 +334,29 @@ void SimCpu::FlagAwaitable::await_suspend(std::coroutine_handle<> h) {
 
 void SimCpu::FlagAwaitable::Arm() {
   started = cpu->now();
-  armed_here = true;
-  alive = std::make_shared<bool>(true);
   cpu->set_armed(this);
-  token = flag->AddWaiter([this, guard = alive](Cycles set_time) {
-    if (*guard) {
-      Fire(set_time);
-    }
-  });
+  cpu->flag_wait_id_ = ++cpu->last_wait_id_;
+  token = flag->AddWaiter({&FlagAwaitable::Wake, cpu, cpu->flag_wait_id_});
+}
+
+void SimCpu::FlagAwaitable::Wake(void* arg, uint64_t wait_id, Cycles set_time) {
+  SimCpu* cpu = static_cast<SimCpu*>(arg);
+  if (cpu->flag_wait_id_ != wait_id) {
+    return;  // preempted between Set() and wakeup; spurious resume covers us
+  }
+  assert(cpu->armed_ != nullptr);
+  static_cast<FlagAwaitable*>(cpu->armed_)->Fire(set_time);
 }
 
 void SimCpu::FlagAwaitable::Fire(Cycles set_time) {
-  if (!armed_here) {
-    return;  // preempted between Set() and wakeup; spurious resume covers us
-  }
-  armed_here = false;
-  *alive = false;
+  cpu->flag_wait_id_ = 0;
   cpu->set_armed(nullptr);
   cpu->set_now(std::max(started, set_time));
   cont.resume();
 }
 
 void SimCpu::FlagAwaitable::Preempt(Cycles at) {
-  armed_here = false;
-  if (alive) {
-    *alive = false;
-  }
+  cpu->flag_wait_id_ = 0;
   flag->RemoveWaiter(token);  // no-op if Set() already consumed the waiter
   cpu->set_now(std::max(at, started));
 }

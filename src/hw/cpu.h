@@ -27,14 +27,15 @@
 #ifndef TLBSIM_SRC_HW_CPU_H_
 #define TLBSIM_SRC_HW_CPU_H_
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/cache/coherence.h"
 #include "src/hw/cost_model.h"
@@ -190,7 +191,19 @@ class SimCpu {
   // through Engine::ScheduleOnCpu: on protocol shards it lands on the shard
   // that owns this CPU, so socket-confined work never leaves its shard; on
   // an unsharded engine it is the current timeline, exactly like Schedule.
-  void ScheduleResume(InlineFn fn);
+  //
+  // A template, not an InlineFn parameter: the event captures `fn` itself
+  // next to `this`, which fits InlineFn's inline buffer, where a captured
+  // InlineFn would not and would go to the heap on every resume.
+  template <typename F>
+  void ScheduleResume(F&& fn) {
+    Cycles at = std::max(now_, engine_->now());
+    ++scheduled_resumes_;
+    engine_->ScheduleOnCpu(id_, at, [this, fn = std::forward<F>(fn)] {
+      --scheduled_resumes_;
+      fn();
+    });
+  }
 
   void TracePhase(const char* tag) {
     if (trace_ != nullptr) {
@@ -225,6 +238,9 @@ class SimCpu {
   void DrainIrqs();
   SimTask IrqTask(int vector);
   void TryPreempt();
+  // SimTask after_done hook installed by Spawn: a program that ends with
+  // masked-then-queued IRQs must not strand them.
+  static void AfterTask(void* cpu);
 
   void set_armed(ArmedWait* w) { armed_ = w; }
   ArmedWait* armed() { return armed_; }
@@ -264,8 +280,15 @@ class SimCpu {
   std::map<int, IrqHandler> handlers_;
   std::function<void(SimCpu&)> kernel_entry_hook_;
   std::function<Co<void>(SimCpu&)> return_to_user_hook_;
-  std::deque<int> pending_irqs_;
+  std::vector<int> pending_irqs_;  // arrival order; rarely more than one
   ArmedWait* armed_ = nullptr;
+  // Id of the armed FlagAwaitable's wait, 0 when none is armed. A flag wake
+  // event carries the id its wait was armed with and fires only while it
+  // still matches, so a wake that outlives its (preempted, maybe destroyed)
+  // awaitable is a no-op. At most one wait is armed per CPU, so one id
+  // suffices; ids come from last_wait_id_ and are never reused.
+  uint64_t flag_wait_id_ = 0;
+  uint64_t last_wait_id_ = 0;
   std::vector<ArmedWait*> post_irq_waiters_;
   int scheduled_resumes_ = 0;  // continuations queued for this CPU
   HwCheckSink* check_sink_ = nullptr;
@@ -300,11 +323,6 @@ struct SimCpu::FlagAwaitable final : SimCpu::ArmedWait {
   SimFlag* flag;
   std::coroutine_handle<> cont;
   Cycles started = 0;
-  bool armed_here = false;
-  // Lifetime guard shared with the registered waiter callback: a Set() can
-  // schedule the callback while a preemption disarms (and later destroys)
-  // this awaitable; the callback must then be a no-op, not a use-after-free.
-  std::shared_ptr<bool> alive;
   SimFlag::WaiterToken token = 0;
 
   FlagAwaitable(SimCpu* c, SimFlag* f) : cpu(c), flag(f) {}
@@ -317,6 +335,10 @@ struct SimCpu::FlagAwaitable final : SimCpu::ArmedWait {
   void Fire(Cycles set_time);
   void Preempt(Cycles at) override;
   void Rearm() override;
+  // The flag's wakeup: `cpu` is the SimCpu, `wait_id` the id Arm() took.
+  // A Set() can schedule it while a preemption disarms (and later destroys)
+  // the awaitable; the id check then makes it a no-op.
+  static void Wake(void* cpu, uint64_t wait_id, Cycles set_time);
 };
 
 inline SimCpu::ExecAwaitable SimCpu::Execute(Cycles c) { return ExecAwaitable(this, c); }

@@ -146,23 +146,34 @@ void Tlb::Insert(const TlbEntry& e) {
   int lru = -1;
   uint64_t lru_stamp = UINT64_MAX;
   uint32_t live = 0;
-  for (uint32_t bits = valid; bits != 0; bits &= bits - 1) {
-    int w = std::countr_zero(bits);
+  // Visits way w; true once a stale duplicate is found (the scan stops).
+  auto visit = [&](int w) {
     const Slot& slot = base[w];
-    if (!IsLive(slot)) continue;
+    if (!IsLive(slot)) return false;
     if (slot.entry().vpn == e.vpn && slot.entry().pcid == e.pcid) {
       victim = w;  // overwrite stale duplicate
-      break;
+      return true;
     }
     live |= 1u << w;
     if (slot.stamp < lru_stamp) {
       lru = w;
       lru_stamp = slot.stamp;
     }
+    return false;
+  };
+  const uint32_t all_ways = (1u << arr.ways) - 1;
+  if (valid == all_ways) {
+    // Full set, the steady state of a warm TLB: a counted loop, free of the
+    // bit walk's dependency on the mask. Same ways, same order.
+    for (int w = 0; w < arr.ways && !visit(w); ++w) {
+    }
+  } else {
+    for (uint32_t bits = valid; bits != 0 && !visit(std::countr_zero(bits)); bits &= bits - 1) {
+    }
   }
   bool victim_live = true;
   if (victim < 0) {
-    uint32_t dead = ~live & ((1u << arr.ways) - 1);
+    uint32_t dead = ~live & all_ways;
     victim_live = dead == 0;
     victim = victim_live ? lru : std::countr_zero(dead);
   }

@@ -24,12 +24,18 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/sim/fixed_vec.h"
+
 namespace tlbsim {
 
 // Upper bound on simulated CPUs (sizes mm_cpumask and the checker's vector
 // clocks). 256 covers the 8-socket/224-cpu big-machine preset; cpumask walks
 // iterate only non-empty socket words, so small topologies pay nothing.
 inline constexpr int kMaxCpus = 256;
+
+// A shootdown's target cpus, ascending (the order SocketMask::ForEachSet
+// yields). Inline storage: computing targets never allocates.
+using CpuList = FixedVec<int, kMaxCpus>;
 
 class SocketMask {
  public:

@@ -3,8 +3,10 @@
 #ifndef TLBSIM_SRC_KERNEL_FLUSH_INFO_H_
 #define TLBSIM_SRC_KERNEL_FLUSH_INFO_H_
 
+#include <cstddef>
 #include <cstdint>
 
+#include "src/sim/fixed_vec.h"
 #include "src/mm/pte.h"
 
 namespace tlbsim {
@@ -33,6 +35,11 @@ struct FlushTlbInfo {
     return (end - start + (1ULL << stride_shift) - 1) >> stride_shift;
   }
 };
+
+// Most infos one shootdown carries: §4.2 batching issues its shootdown as
+// soon as this many flushes are pending.
+inline constexpr size_t kFlushBatchSlots = 4;
+using FlushInfos = FixedVec<FlushTlbInfo, kFlushBatchSlots>;
 
 }  // namespace tlbsim
 

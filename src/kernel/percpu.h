@@ -22,7 +22,6 @@
 #define TLBSIM_SRC_KERNEL_PERCPU_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -44,10 +43,38 @@ struct Cfd {
   SimFlag done;     // acknowledgement (csd flags)
   // The shootdown work. With cacheline consolidation and a single info, the
   // info travels inside the CFD line; otherwise the responder additionally
-  // reads the initiator's stack flush_tlb_info line (split layout).
+  // reads the initiator's stack flush_tlb_info line (split layout). A
+  // vector, not a FlushInfos: most CFDs carry one info, and assignment
+  // reuses the capacity, so only a CFD's first (or first wider) use
+  // allocates.
   std::vector<FlushTlbInfo> work;
   int initiator = -1;
   bool in_flight = false;
+  Cfd* csq_next = nullptr;  // link in the target's CfdQueue
+};
+
+// The call-single-queue: a FIFO threaded through Cfd::csq_next, like Linux's
+// llist of csds. A CFD sits in at most one queue (it is not reused while in
+// flight), so enqueueing needs no node allocation.
+class CfdQueue {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  Cfd* front() const { return head_; }
+  void push_back(Cfd* cfd) {
+    cfd->csq_next = nullptr;
+    (tail_ != nullptr ? tail_->csq_next : head_) = cfd;
+    tail_ = cfd;
+  }
+  void pop_front() {
+    head_ = head_->csq_next;
+    if (head_ == nullptr) {
+      tail_ = nullptr;
+    }
+  }
+
+ private:
+  Cfd* head_ = nullptr;
+  Cfd* tail_ = nullptr;
 };
 
 // The deferred user-address-space flush state (paper §3.4): either a merged
@@ -140,11 +167,11 @@ struct PerCpu {
   // catches up at the mmap_sem-release barrier. msync/fdatasync batching
   // defers its own flushes but does NOT set this.
   bool ipi_defer_mode = false;
-  std::vector<FlushTlbInfo> batched;  // up to kBatchSlots pending infos
-  static constexpr size_t kBatchSlots = 4;
+  FlushInfos batched;  // up to kBatchSlots pending infos
+  static constexpr size_t kBatchSlots = kFlushBatchSlots;
 
   // --- SMP layer ---
-  std::deque<Cfd*> csq;  // call single queue (llist of pending CFDs)
+  CfdQueue csq;  // call single queue (pending CFDs)
   // Initiator-owned flush info used by the split layout ("on the stack").
   FlushTlbInfo stack_info;
 

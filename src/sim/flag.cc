@@ -1,34 +1,40 @@
 #include "src/sim/flag.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace tlbsim {
+
+void SimFlag::ScheduleWake(const Waiter& w, Cycles at) {
+  Cycles when = std::max(at, engine_->now());
+  engine_->Schedule(when, [w, at] { w.wake(w.ctx, w.arg, at); });
+}
 
 void SimFlag::Set(Cycles at) {
   set_ = true;
   set_time_ = at;
-  if (waiters_.empty()) {
-    return;
+  // Scheduling never runs a wakeup inline, so the list is stable here.
+  for (const Registered& r : waiters_) {
+    ScheduleWake(r.w, at);
   }
-  Cycles when = std::max(at, engine_->now());
-  std::map<WaiterToken, std::function<void(Cycles)>> woken;
-  woken.swap(waiters_);
-  for (auto& [token, cb] : woken) {
-    engine_->Schedule(when, [cb = std::move(cb), at] { cb(at); });
-  }
+  waiters_.clear();
 }
 
-SimFlag::WaiterToken SimFlag::AddWaiter(std::function<void(Cycles)> cb) {
+SimFlag::WaiterToken SimFlag::AddWaiter(Waiter w) {
   WaiterToken token = next_token_++;
   if (set_) {
-    Cycles at = set_time_;
-    Cycles when = std::max(at, engine_->now());
-    engine_->Schedule(when, [cb = std::move(cb), at] { cb(at); });
+    ScheduleWake(w, set_time_);
     return token;
   }
-  waiters_.emplace(token, std::move(cb));
+  waiters_.push_back({token, w});
   return token;
+}
+
+void SimFlag::RemoveWaiter(WaiterToken token) {
+  auto it = std::find_if(waiters_.begin(), waiters_.end(),
+                         [token](const Registered& r) { return r.token == token; });
+  if (it != waiters_.end()) {
+    waiters_.erase(it);
+  }
 }
 
 }  // namespace tlbsim

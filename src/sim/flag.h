@@ -8,8 +8,7 @@
 #define TLBSIM_SRC_SIM_FLAG_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <vector>
 
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
@@ -36,20 +35,39 @@ class SimFlag {
   // Time at which the flag was (last) set. Only meaningful when is_set().
   Cycles set_time() const { return set_time_; }
 
-  // Registers a callback to run (with the set time) once the flag is set.
-  // If the flag is already set the callback is scheduled immediately.
-  // Waiters are woken in registration order.
-  WaiterToken AddWaiter(std::function<void(Cycles)> cb);
+  // A waiter is plain data, not a captured callable, so registering one and
+  // scheduling its wakeup never allocate: wake(ctx, arg, set_time) runs as
+  // an engine event once the flag is set. `ctx` must outlive that event; a
+  // waiter that may be gone by then passes a long-lived ctx and checks `arg`
+  // against it (SimCpu's flag waits do this with a per-CPU wait id).
+  struct Waiter {
+    void (*wake)(void* ctx, uint64_t arg, Cycles set_time);
+    void* ctx;
+    uint64_t arg;
+  };
+
+  // Registers `w` to be woken (with the set time) once the flag is set. If
+  // the flag is already set the wakeup is scheduled immediately. Waiters are
+  // woken in registration order.
+  WaiterToken AddWaiter(Waiter w);
 
   // Deregisters a not-yet-fired waiter. No-op for fired/unknown tokens.
-  void RemoveWaiter(WaiterToken token) { waiters_.erase(token); }
+  void RemoveWaiter(WaiterToken token);
 
  private:
+  struct Registered {
+    WaiterToken token;
+    Waiter w;
+  };
+
+  // Schedules `w`'s wakeup for a flag set at `at`.
+  void ScheduleWake(const Waiter& w, Cycles at);
+
   Engine* engine_;
   bool set_ = false;
   Cycles set_time_ = 0;
   WaiterToken next_token_ = 1;
-  std::map<WaiterToken, std::function<void(Cycles)>> waiters_;  // ordered for determinism
+  std::vector<Registered> waiters_;  // registration order; keeps its capacity
 };
 
 }  // namespace tlbsim

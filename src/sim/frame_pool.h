@@ -12,9 +12,11 @@
 // this keeps the pool lock-free without assuming it. Pooled memory is
 // retained for the life of the thread and released when the thread exits:
 // a thread_local Releaser, armed the first time a frame is pushed into an
-// empty bucket (a cold path, so Free stays a pointer push), frees every
-// bucket from its destructor. A frame freed after that goes straight back to
-// the global allocator.
+// empty bucket, frees every bucket from its destructor. A frame freed after
+// that goes straight back to the global allocator. Pushing into an empty
+// bucket is not rare (an alloc/free ping-pong does it on every free), so it
+// checks a plain thread_local bool before it touches the Releaser: access to
+// a non-trivially destructible thread_local goes through a TLS wrapper call.
 #ifndef TLBSIM_SRC_SIM_FRAME_POOL_H_
 #define TLBSIM_SRC_SIM_FRAME_POOL_H_
 
@@ -81,6 +83,7 @@ class FramePool {
   struct Releaser {
     bool armed;  // zero-initialized: thread storage duration
     ~Releaser() {
+      armed_ = false;
       released_ = true;
       for (std::size_t b = 0; b < kBuckets; ++b) {
         while (Node* node = buckets_[b]) {
@@ -94,16 +97,21 @@ class FramePool {
   // Constructs (and so registers the destructor of) this thread's Releaser.
   // False once it has run: the thread is exiting and must not pool.
   static bool ArmReleaser() noexcept {
+    if (armed_) {
+      return true;
+    }
     if (released_) {
       return false;
     }
     releaser_.armed = true;
+    armed_ = true;
     return true;
   }
 
   static inline thread_local Node* buckets_[kBuckets] = {};
   static inline thread_local Stats stats_{};
-  static inline thread_local bool released_ = false;
+  static inline thread_local bool armed_ = false;     // releaser_ constructed, not yet run
+  static inline thread_local bool released_ = false;  // releaser_ has run
   static inline thread_local Releaser releaser_;
 };
 

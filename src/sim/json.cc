@@ -21,6 +21,14 @@ Json& Json::operator[](std::string_view key) {
   return object_.back().second;
 }
 
+void Json::AppendMember(std::string key, Json v) {
+  if (type_ == Type::kNull) {
+    type_ = Type::kObject;
+  }
+  assert(type_ == Type::kObject);
+  object_.emplace_back(std::move(key), std::move(v));
+}
+
 const Json* Json::Find(std::string_view key) const {
   if (type_ != Type::kObject) {
     return nullptr;

@@ -63,6 +63,10 @@ class Json {
   Json& operator[](std::string_view key);
   // Lookup without insertion; nullptr when absent or not an object.
   const Json* Find(std::string_view key) const;
+  // Appends a member without operator[]'s scan for an existing key, so
+  // building an n-member object costs O(n), not O(n^2). `key` must not be
+  // present yet (serializers that emit each key once).
+  void AppendMember(std::string key, Json v);
   const std::vector<std::pair<std::string, Json>>& members() const { return object_; }
 
   // --- array access ---

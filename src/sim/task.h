@@ -153,11 +153,16 @@ class [[nodiscard]] Co<void> {
 
 // Detached root task. Created suspended; call Start() (or hand the handle to
 // the engine) to begin. Destroys its own frame on completion, then invokes the
-// completion callback, if any.
+// completion callbacks, if any.
 class SimTask {
  public:
   struct promise_type : PooledFrame {
     InlineFn on_done;
+    // Runs after on_done. A plain function pointer, so a runner (SimCpu's
+    // Spawn) can chain its own step after the caller's on_done without
+    // wrapping that InlineFn in a larger, heap-allocated one.
+    void (*after_done)(void*) = nullptr;
+    void* after_done_arg = nullptr;
 
     SimTask get_return_object() {
       return SimTask(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -168,9 +173,14 @@ class SimTask {
       bool await_ready() noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
         InlineFn done = std::move(h.promise().on_done);
+        void (*after)(void*) = h.promise().after_done;
+        void* after_arg = h.promise().after_done_arg;
         h.destroy();
         if (done) {
           done();
+        }
+        if (after != nullptr) {
+          after(after_arg);
         }
       }
       void await_resume() noexcept {}

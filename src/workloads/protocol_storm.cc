@@ -75,7 +75,8 @@ SimTask StormProgram(System& sys, Thread& t, Lane* lane, const ProtocolStormConf
 
 }  // namespace
 
-ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg) {
+ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg,
+                                     std::unique_ptr<System>* keep_system) {
   assert(cfg.topo.sockets >= 2 && "a one-socket storm has nothing to shard");
 
   SystemConfig sys_cfg;
@@ -84,7 +85,8 @@ ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg) {
   sys_cfg.machine.sim_threads = cfg.sim_threads;
   sys_cfg.machine.shard_protocol = cfg.shard_protocol;
   sys_cfg.backend = cfg.backend;
-  System sys(sys_cfg);
+  auto owned = std::make_unique<System>(sys_cfg);
+  System& sys = *owned;
   Kernel& k = sys.kernel();
   Engine& eng = sys.machine().engine();
 
@@ -174,6 +176,9 @@ ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg) {
     r.max_cfds_per_cpu = std::max(r.max_cfds_per_cpu, built);
   }
   r.metrics = SystemMetricsJson(sys);
+  if (keep_system != nullptr) {
+    *keep_system = std::move(owned);
+  }
   return r;
 }
 

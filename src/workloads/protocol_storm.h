@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/core/system.h"
@@ -75,7 +76,10 @@ struct ProtocolStormResult {
 // Builds a System per the config, runs setup serially, activates protocol
 // shards (when configured), runs the storm to completion and returns the
 // deterministic result. Wall-clock measurement is the caller's job.
-ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg);
+// `keep_system`, when given, receives the finished System (benchmarks time
+// its snapshot).
+ProtocolStormResult RunProtocolStorm(const ProtocolStormConfig& cfg,
+                                     std::unique_ptr<System>* keep_system = nullptr);
 
 }  // namespace tlbsim
 

@@ -271,6 +271,36 @@ TEST(CpuTest, WaitFlagSpuriousWakeAfterIrq) {
   EXPECT_EQ(wakes, 2);  // one spurious (after irq) + one real
 }
 
+// Set() schedules the wake; an IRQ preempts the wait before the wake runs;
+// the program resumes spuriously, the awaitable dies with its co_await
+// expression, and a second wait is armed. The stale wake must be a no-op:
+// it must neither touch the dead awaitable nor fire the new wait.
+TEST(CpuTest, StaleFlagWakeAfterPreemptedWaitIsNoOp) {
+  Machine m(QuietConfig());
+  SimCpu& cpu = m.cpu(0);
+  SimFlag first(&m.engine());
+  SimFlag second(&m.engine());
+  cpu.RegisterIrqHandler(77, [](SimCpu&) -> Co<void> { co_return; });
+  Cycles first_resume = -1;
+  Cycles second_resume = -1;
+  cpu.Spawn(Go([&]() -> Co<void> {
+    co_await cpu.WaitFlag(first);
+    first_resume = cpu.now();
+    bool set = co_await cpu.WaitFlag(second);
+    EXPECT_TRUE(set);
+    second_resume = cpu.now();
+  }));
+  // Set at 100 for time 20000: the wake event is queued at 20000.
+  m.engine().Schedule(100, [&] { first.Set(20000); });
+  m.engine().Schedule(200, [&] { cpu.RaiseIrq(77); });
+  m.engine().Schedule(40000, [&] { second.Set(40000); });
+  m.engine().Run();
+  EXPECT_GT(first_resume, 200);
+  EXPECT_LT(first_resume, 20000);  // the spurious resume after the IRQ
+  EXPECT_EQ(second_resume, 40000);  // not the stale wake at 20000
+  EXPECT_EQ(cpu.stats().irqs_handled, 1u);
+}
+
 TEST(CpuTest, HooksRunAroundUserInterrupt) {
   Machine m(QuietConfig());
   SimCpu& cpu = m.cpu(0);

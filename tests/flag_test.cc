@@ -3,12 +3,30 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <vector>
 
 #include "src/sim/engine.h"
 
 namespace tlbsim {
 namespace {
+
+// Registers test callbacks as SimFlag waiters (ctx = the stored callback).
+// A deque keeps each callback at a stable address until the test ends.
+class Callbacks {
+ public:
+  SimFlag::WaiterToken Add(SimFlag& f, std::function<void(Cycles)> cb) {
+    fns_.push_back(std::move(cb));
+    return f.AddWaiter({&Call, &fns_.back(), 0});
+  }
+
+ private:
+  static void Call(void* ctx, uint64_t, Cycles t) {
+    (*static_cast<std::function<void(Cycles)>*>(ctx))(t);
+  }
+  std::deque<std::function<void(Cycles)>> fns_;
+};
 
 TEST(FlagTest, StartsClear) {
   Engine e;
@@ -27,8 +45,9 @@ TEST(FlagTest, SetRecordsTime) {
 TEST(FlagTest, WaiterWokenAtSetTime) {
   Engine e;
   SimFlag f(&e);
+  Callbacks cbs;
   Cycles woke_at = -1;
-  f.AddWaiter([&](Cycles t) { woke_at = t; });
+  cbs.Add(f, [&](Cycles t) { woke_at = t; });
   e.Schedule(40, [&] { f.Set(40); });
   e.Run();
   EXPECT_EQ(woke_at, 40);
@@ -37,9 +56,10 @@ TEST(FlagTest, WaiterWokenAtSetTime) {
 TEST(FlagTest, AddWaiterOnSetFlagFiresImmediately) {
   Engine e;
   SimFlag f(&e);
+  Callbacks cbs;
   f.Set(10);
   Cycles woke_at = -1;
-  f.AddWaiter([&](Cycles t) { woke_at = t; });
+  cbs.Add(f, [&](Cycles t) { woke_at = t; });
   e.Run();
   EXPECT_EQ(woke_at, 10);
 }
@@ -47,10 +67,11 @@ TEST(FlagTest, AddWaiterOnSetFlagFiresImmediately) {
 TEST(FlagTest, MultipleWaitersAllWokenInOrder) {
   Engine e;
   SimFlag f(&e);
+  Callbacks cbs;
   std::vector<int> order;
-  f.AddWaiter([&](Cycles) { order.push_back(1); });
-  f.AddWaiter([&](Cycles) { order.push_back(2); });
-  f.AddWaiter([&](Cycles) { order.push_back(3); });
+  cbs.Add(f, [&](Cycles) { order.push_back(1); });
+  cbs.Add(f, [&](Cycles) { order.push_back(2); });
+  cbs.Add(f, [&](Cycles) { order.push_back(3); });
   e.Schedule(5, [&] { f.Set(5); });
   e.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -59,8 +80,9 @@ TEST(FlagTest, MultipleWaitersAllWokenInOrder) {
 TEST(FlagTest, RemovedWaiterNotWoken) {
   Engine e;
   SimFlag f(&e);
+  Callbacks cbs;
   bool woke = false;
-  auto token = f.AddWaiter([&](Cycles) { woke = true; });
+  auto token = cbs.Add(f, [&](Cycles) { woke = true; });
   f.RemoveWaiter(token);
   e.Schedule(5, [&] { f.Set(5); });
   e.Run();
@@ -70,11 +92,12 @@ TEST(FlagTest, RemovedWaiterNotWoken) {
 TEST(FlagTest, ClearReArms) {
   Engine e;
   SimFlag f(&e);
+  Callbacks cbs;
   f.Set(5);
   f.Clear();
   EXPECT_FALSE(f.is_set());
   int wakes = 0;
-  f.AddWaiter([&](Cycles) { ++wakes; });
+  cbs.Add(f, [&](Cycles) { ++wakes; });
   e.Run();
   EXPECT_EQ(wakes, 0);  // waiter registered after clear must not fire
   f.Set(10);
@@ -94,10 +117,11 @@ TEST(FlagTest, SetWhileNoWaitersIsCheap) {
 TEST(FlagTest, WaiterRegisteredDuringWakeupOfAnotherWaits) {
   Engine e;
   SimFlag f(&e);
+  Callbacks cbs;
   int second = 0;
-  f.AddWaiter([&](Cycles) {
+  cbs.Add(f, [&](Cycles) {
     f.Clear();
-    f.AddWaiter([&](Cycles) { ++second; });
+    cbs.Add(f, [&](Cycles) { ++second; });
   });
   e.Schedule(5, [&] { f.Set(5); });
   e.Run();

@@ -3,8 +3,10 @@
 // parser round-trips, scoped virtual-cycle timers, registry handle stability.
 #include "src/sim/metrics.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/sim/json.h"
@@ -149,6 +151,55 @@ TEST(MetricsTest, HistogramDecimationIsArrivalDeterministic) {
     b.Record(x);
   }
   EXPECT_EQ(a.ToJson().Dump(), b.ToJson().Dump());
+}
+
+// ToJson selects all three percentiles from one scratch copy; each must
+// equal Percentile(), bit for bit, and (when the reservoir holds every
+// sample) the closest-ranks interpolation over a fully sorted copy.
+TEST(MetricsTest, ToJsonPercentilesEqualPercentile) {
+  auto sorted_reference = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    auto lo = static_cast<size_t>(rank);
+    size_t hi = std::min(lo + 1, v.size() - 1);
+    double frac = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  auto check = [&](const std::vector<double>& values, const char* what) {
+    Histogram h;
+    for (double x : values) {
+      h.Record(x);
+    }
+    bool decimated = h.percentile_stride() > 1;
+    Json j = h.ToJson();
+    const std::pair<const char*, double> kKeys[] = {{"p50", 50.0}, {"p90", 90.0}, {"p99", 99.0}};
+    for (const auto& [key, p] : kKeys) {
+      ASSERT_NE(j.Find(key), nullptr) << what;
+      EXPECT_EQ(j.Find(key)->AsDouble(), h.Percentile(p)) << what << " " << key;
+      if (!values.empty() && !decimated) {
+        EXPECT_EQ(h.Percentile(p), sorted_reference(values, p)) << what << " " << key;
+      }
+    }
+  };
+  check({}, "empty");
+  check({7.5}, "n=1");
+  check({9.0, -3.0}, "n=2");
+  check({5.0, 1.0, 5.0, 5.0, 2.0, 5.0, 1.0, 9.0, 5.0}, "duplicates");
+  std::vector<double> many;
+  for (size_t i = 0; i < 997; ++i) {
+    many.push_back(static_cast<double>((i * 2654435761u) % 101) / 4.0);
+  }
+  check(many, "many duplicates");
+  std::vector<double> stream;
+  for (size_t i = 0; i < 3 * Histogram::kMaxSamples + 17; ++i) {
+    stream.push_back(static_cast<double>((i * 2654435761u) % 1000) / 8.0);
+  }
+  Histogram probe;
+  for (double x : stream) {
+    probe.Record(x);
+  }
+  ASSERT_GT(probe.percentile_stride(), 1u);
+  check(stream, "decimated");
 }
 
 TEST(MetricsTest, ScopedCycleTimerRecordsVirtualDelta) {
