@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the simulator primitives: TLB lookup /
-// insert / INVLPG / construction, page walks and present-leaf walks,
-// coherence accesses, System construction, engine event throughput,
-// coroutine-frame pooling, the metrics snapshot of a 224-cpu storm, and a
-// full end-to-end shootdown simulation per iteration.
+// insert / INVLPG / construction, page walks and present-leaf walks, frame
+// allocator churn and refault, coherence accesses, System construction,
+// engine event throughput, coroutine-frame pooling, the metrics snapshot of a
+// 224-cpu storm, and a full end-to-end shootdown simulation per iteration.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -161,6 +161,31 @@ void BM_FrameAllocChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FrameAllocChurn)->Arg(16)->Arg(1024)->Arg(65536);
+
+void BM_FrameAllocRefault(benchmark::State& state) {
+  // The frame side of a warm madvise(MADV_DONTNEED) -> refault cycle: free
+  // the range's N frames, then fault them back in, each off the free list.
+  // A standing population keeps the pfn tables realistically sized.
+  FrameAllocator fa;
+  for (int i = 0; i < 1024; ++i) {
+    fa.Alloc();
+  }
+  std::vector<uint64_t> range(static_cast<size_t>(state.range(0)));
+  for (uint64_t& pfn : range) {
+    pfn = fa.Alloc();
+  }
+  for (auto _ : state) {
+    for (uint64_t pfn : range) {
+      fa.Unref(pfn);
+    }
+    for (uint64_t& pfn : range) {
+      pfn = fa.AllocOn(0);
+    }
+    benchmark::DoNotOptimize(range.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameAllocRefault)->Arg(1)->Arg(10);
 
 void BM_CoherencePingPong(benchmark::State& state) {
   Topology topo;

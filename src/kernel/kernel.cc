@@ -405,13 +405,9 @@ Co<uint64_t> Kernel::SysMmap(Thread& t, uint64_t len, bool writable, bool shared
   co_return addr;
 }
 
-Co<Kernel::ZapResult> Kernel::ZapRange(SimCpu& cpu, MmStruct& mm, uint64_t addr, uint64_t len) {
+Kernel::ZapResult Kernel::ZapRange(SimCpu& cpu, MmStruct& mm, uint64_t addr, uint64_t len) {
   ZapResult zr;
-  std::vector<std::pair<uint64_t, PageSize>> present;
   mm.pt.ForEachPresent(addr, addr + len, [&](uint64_t va, Pte, PageSize size) {
-    present.emplace_back(va, size);
-  });
-  for (auto& [va, size] : present) {
     Pte old = mm.pt.Unmap(va);
     ChargePteUpdate(cpu, mm, va);
     cpu.AdvanceInline(machine_->costs().zap_per_page);
@@ -420,8 +416,8 @@ Co<Kernel::ZapResult> Kernel::ZapRange(SimCpu& cpu, MmStruct& mm, uint64_t addr,
     zr.min_stride_shift = std::min(zr.min_stride_shift, shift);
     zr.leaves.push_back(ZappedLeaf{va, old, size});
     ++zr.pages;
-  }
-  co_return zr;
+  });
+  return zr;
 }
 
 Co<void> Kernel::SysMunmap(Thread& t, uint64_t addr, uint64_t len) {
@@ -438,7 +434,7 @@ Co<void> Kernel::SysMunmap(Thread& t, uint64_t addr, uint64_t len) {
   }
 
   int vma_stride_shift = StrideShiftFor(mm, addr);
-  ZapResult zr = co_await ZapRange(cpu, mm, addr, len);
+  ZapResult zr = ZapRange(cpu, mm, addr, len);
   // A range spanning VMAs of different page sizes must flush at the smallest
   // stride actually unmapped (tlb-gather style), not the stride of the VMA
   // that happens to cover `addr`.
@@ -508,7 +504,7 @@ Co<void> Kernel::SysMadviseDontneed(Thread& t, uint64_t addr, uint64_t len) {
   if (BatchingEnabled()) {
     backend_->BeginBatch(cpu, mm);
   }
-  ZapResult zr = co_await ZapRange(cpu, mm, addr, len);
+  ZapResult zr = ZapRange(cpu, mm, addr, len);
   bool elided = false;
   if (config_.opts.reuse_elision && zr.pages > 0) {
     elided = co_await TryReuseElide(cpu, mm, zr);
@@ -594,24 +590,21 @@ Co<void> Kernel::SysMprotect(Thread& t, uint64_t addr, uint64_t len, bool writab
   }
   uint64_t changed = 0;
   int min_stride_shift = static_cast<int>(kHugeShift);
-  std::vector<std::pair<uint64_t, PageSize>> vas;
-  mm.pt.ForEachPresent(addr, addr + len,
-                       [&](uint64_t va, Pte, PageSize size) { vas.emplace_back(va, size); });
-  for (auto& [va, size] : vas) {
-    Pte pte = mm.pt.Walk(va).pte;
+  mm.pt.ForEachPresent(addr, addr + len, [&](uint64_t va, Pte pte, PageSize size) {
     Pte npte = writable ? pte.WithFlags(PteFlags::kWrite) : pte.WithFlags(0, PteFlags::kWrite);
-    if (!(npte == pte)) {
-      mm.pt.SetPte(va, npte);
-      ChargePteUpdate(cpu, mm, va);
-      cpu.AdvanceInline(machine_->costs().zap_per_page);
-      // Same tlb-gather rule as the zap paths: the flush stride is the
-      // smallest page size whose PTE actually changed.
-      int shift =
-          size == PageSize::k2M ? static_cast<int>(kHugeShift) : static_cast<int>(kPageShift);
-      min_stride_shift = std::min(min_stride_shift, shift);
-      ++changed;
+    if (npte == pte) {
+      return;
     }
-  }
+    mm.pt.SetPte(va, npte);
+    ChargePteUpdate(cpu, mm, va);
+    cpu.AdvanceInline(machine_->costs().zap_per_page);
+    // Same tlb-gather rule as the zap paths: the flush stride is the
+    // smallest page size whose PTE actually changed.
+    int shift =
+        size == PageSize::k2M ? static_cast<int>(kHugeShift) : static_cast<int>(kPageShift);
+    min_stride_shift = std::min(min_stride_shift, shift);
+    ++changed;
+  });
   if (changed > 0) {
     ++StatsFor(cpu.id()).flush_requests;
     co_await backend_->FlushRange(cpu, mm, addr, addr + len, min_stride_shift,

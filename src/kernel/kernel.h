@@ -8,6 +8,8 @@
 #ifndef TLBSIM_SRC_KERNEL_KERNEL_H_
 #define TLBSIM_SRC_KERNEL_KERNEL_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -180,14 +182,39 @@ class Kernel {
     Pte pte;  // pre-zap leaf
     PageSize size = PageSize::k4K;
   };
+  // The zapped leaves: inline up to kInline (a madvise or munmap of a few
+  // pages never reaches the heap), all moved to `spill_` past that.
+  class ZappedLeaves {
+   public:
+    static constexpr size_t kInline = 16;
+    void push_back(const ZappedLeaf& l) {
+      if (size_ < kInline) {
+        inline_[size_++] = l;
+        return;
+      }
+      if (size_ == kInline) {
+        spill_.assign(inline_.begin(), inline_.end());
+      }
+      spill_.push_back(l);
+      ++size_;
+    }
+    const ZappedLeaf* begin() const { return size_ > kInline ? spill_.data() : inline_.data(); }
+    const ZappedLeaf* end() const { return begin() + size_; }
+
+   private:
+    std::array<ZappedLeaf, kInline> inline_;
+    std::vector<ZappedLeaf> spill_;
+    size_t size_ = 0;
+  };
   struct ZapResult {
     uint64_t pages = 0;
     // Minimum flush stride over the zapped leaves (Linux tlb-gather tracks
     // the smallest page size it unmaps); meaningful only when pages > 0.
     int min_stride_shift = static_cast<int>(kHugeShift);
-    std::vector<ZappedLeaf> leaves;
+    ZappedLeaves leaves;
   };
-  Co<ZapResult> ZapRange(SimCpu& cpu, MmStruct& mm, uint64_t addr, uint64_t len);
+  // Never suspends: clears each leaf in the same walk that finds it.
+  ZapResult ZapRange(SimCpu& cpu, MmStruct& mm, uint64_t addr, uint64_t len);
 
   // --- Optimization #7 (reuse_elision) ---
   // Zap-time decision: when every zapped leaf is a non-executable 4K page and

@@ -85,7 +85,9 @@ class PageTable {
   WalkResult Walk(uint64_t va, int walker_node) const;
 
   // Invokes `fn(va, pte, size)` for every present leaf in [lo, hi), in
-  // ascending va order.
+  // ascending va order. `fn` may SetPte or Unmap the leaf it is handed (the
+  // visit never reads that entry again), but must not Map, PruneEmpty or
+  // write any other entry.
   template <typename Fn>
   void ForEachPresent(uint64_t lo, uint64_t hi, Fn&& fn) const {
     VisitPresent(*root_, lo, hi, fn);

@@ -2,10 +2,22 @@
 //
 // Frames carry no data; the simulator only needs identity + refcounts.
 //
-// Multi-frame (huge-page) allocations share one refcount record keyed by the
-// head pfn; Ref/Unref/RefCount/IsAllocated resolve interior pfns to that
-// record (refs_ is an ordered map so the covering head is a predecessor
-// lookup).
+// Bookkeeping is flat. Every memory node owns a slot table indexed by pfn
+// offset that covers the node's bump-allocated range. A multi-frame
+// (huge-page) allocation keeps its refcount and frame count in the head
+// slot; each interior slot records its distance back to the head, so
+// Ref/Unref/RefCount/IsAllocated resolve any pfn with one array index. A
+// range handed out by the bump pointer keeps its (head, count) shape for
+// life: freed allocations are only ever reused whole, at the same count.
+//
+// Free allocations sit on one `free_` list in the legacy order (push_back on
+// free, swap-with-back removal), and a per-(node, count) bucket marks their
+// `free_` indices in a two-level bitset. Alloc takes the lowest marked index
+// — the entry the old linear scan found first — so every pfn, and with it
+// every data-line address, matches the legacy allocator. A free head slot
+// remembers its `free_` index, which makes TryAllocSpecific O(1). In steady
+// state (tables, bitsets and `free_` at their final capacity) an
+// alloc/free cycle never reaches the heap.
 //
 // NUMA (src/mm/numa.h): after ConfigureNuma(n > 1), each node owns a disjoint
 // pfn range and AllocOn places allocations per the configured policy. The
@@ -16,8 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -29,7 +39,7 @@ class FrameAllocator {
  public:
   // `first_pfn` reserves a low range (e.g. for "kernel image" frames).
   explicit FrameAllocator(uint64_t first_pfn = 0x1000) : first_pfn_(first_pfn) {
-    node_next_.push_back(first_pfn);
+    nodes_.emplace_back(first_pfn);
   }
 
   // Splits the pfn space into per-node ranges. Must be called before the
@@ -38,8 +48,7 @@ class FrameAllocator {
   void ConfigureNuma(int nodes, NumaPlacement placement);
 
   // Allocates one frame with refcount 1 on node 0. `count` contiguous frames
-  // for huge pages (returns the first pfn; all share one refcount record
-  // keyed by the head pfn).
+  // for huge pages (returns the first pfn; all share the head's refcount).
   uint64_t Alloc(uint64_t count = 1) { return AllocOn(0, count); }
 
   // Node-aware allocation: `node_hint` is the requesting CPU's node; the
@@ -55,7 +64,7 @@ class FrameAllocator {
   bool TryAllocSpecific(uint64_t pfn);
 
   // Increments the sharing count (fork/CoW). Interior pfns of a multi-frame
-  // allocation resolve to the head record.
+  // allocation resolve to the head slot.
   void Ref(uint64_t pfn);
 
   // Drops a reference; frees the whole allocation when it reaches zero.
@@ -63,7 +72,7 @@ class FrameAllocator {
   uint64_t Unref(uint64_t pfn);
 
   uint64_t RefCount(uint64_t pfn) const;
-  bool IsAllocated(uint64_t pfn) const { return Resolve(pfn) != refs_.end(); }
+  bool IsAllocated(uint64_t pfn) const { return Resolve(pfn) != nullptr; }
 
   // Memory node holding `pfn` (0 when NUMA-flat).
   int NodeOf(uint64_t pfn) const;
@@ -74,47 +83,72 @@ class FrameAllocator {
   // stale TLB state. Unset (the default) costs nothing on the alloc path.
   void set_reuse_observer(std::function<void(uint64_t)> cb) { reuse_observer_ = std::move(cb); }
 
-  int nodes() const { return static_cast<int>(node_next_.size()); }
-  uint64_t allocated_frames() const;
+  int nodes() const { return static_cast<int>(nodes_.size()); }
+  uint64_t allocated_frames() const { return allocated_frames_; }
   uint64_t total_allocs() const { return total_allocs_; }
-  uint64_t node_allocs(int node) const { return node_allocs_.at(static_cast<size_t>(node)); }
+  uint64_t node_allocs(int node) const { return nodes_.at(static_cast<size_t>(node)).allocs; }
 
  private:
-  struct Record {
-    uint64_t refs;
-    uint64_t count;  // frames in this allocation
+  // One per pfn of a node's bump-allocated range.
+  struct Slot {
+    uint64_t refs = 0;    // head: live references, 0 while free
+    uint32_t frames = 0;  // head: frames in the allocation; 0 on interior slots
+    uint32_t link = 0;    // head while free: index in free_; interior: pfns back to head
   };
-  using RefMap = std::map<uint64_t, Record>;  // keyed by head pfn (ordered)
+
+  // The `free_` indices of one (node, frame count): a bit per index, and a
+  // summary bit per nonzero word, so the lowest index is two scans away.
+  struct FreeBucket {
+    uint64_t frames = 0;
+    uint64_t size = 0;  // marked indices
+    std::vector<uint64_t> words;
+    std::vector<uint64_t> summary;
+
+    void Mark(uint32_t idx);
+    void Unmark(uint32_t idx);
+    uint32_t Lowest() const;  // precondition: size > 0
+  };
+
+  struct Node {
+    explicit Node(uint64_t base_pfn) : base(base_pfn) {}
+    uint64_t base;  // first pfn of the node's range
+    uint64_t allocs = 0;
+    // pfn base + i -> slots[i]; base + slots.size() is the bump pointer.
+    std::vector<Slot> slots;
+    std::vector<FreeBucket> buckets;  // one per frame count ever freed here
+  };
 
   // Per-node pfn span. Generous: the simulator allocates thousands of
   // frames, not millions.
   static constexpr uint64_t kNodeSpan = 1ULL << 24;
 
-  // Head record covering `pfn` (head or interior), or refs_.end().
-  RefMap::const_iterator Resolve(uint64_t pfn) const;
-  RefMap::iterator Resolve(uint64_t pfn);
-
-  uint64_t NodeBase(int node) const {
-    return nodes() == 1 ? first_pfn_ : first_pfn_ + static_cast<uint64_t>(node) * kNodeSpan;
+  // Slot of `pfn` itself (head or interior), or null beyond any bump range.
+  Slot* SlotOf(uint64_t pfn);
+  const Slot* SlotOf(uint64_t pfn) const {
+    return const_cast<FrameAllocator*>(this)->SlotOf(pfn);
+  }
+  // Head slot of the live allocation covering `pfn`, or null.
+  Slot* Resolve(uint64_t pfn);
+  const Slot* Resolve(uint64_t pfn) const {
+    return const_cast<FrameAllocator*>(this)->Resolve(pfn);
   }
 
-  // Free-list maintenance. `free_` keeps the legacy vector (push_back on
-  // free, swap-with-back removal) so reuse order is bit-identical to the old
-  // linear scan; `free_index_` buckets the live indices by (node, count) so
-  // Alloc is O(log n) instead of O(n).
+  // Bucket for (node, frames); Find returns null when none exists yet.
+  FreeBucket* FindBucket(int node, uint64_t frames);
+  FreeBucket& BucketFor(int node, uint64_t frames);
+
+  // Free-list maintenance in the legacy order (see the header comment).
   void PushFree(uint64_t pfn, uint64_t count);
   uint64_t TakeFreeAt(uint32_t idx);
 
-  RefMap refs_;
+  std::vector<Node> nodes_;
   std::function<void(uint64_t)> reuse_observer_;
-  std::vector<std::pair<uint64_t, uint64_t>> free_;  // (pfn, count) free list
-  std::map<std::pair<int, uint64_t>, std::set<uint32_t>> free_index_;
+  std::vector<std::pair<uint64_t, uint64_t>> free_;  // (head pfn, count) free list
   uint64_t first_pfn_;
-  std::vector<uint64_t> node_next_;    // bump pointer per node
-  std::vector<uint64_t> node_allocs_{0};
   NumaPlacement placement_ = NumaPlacement::kLocal;
   uint64_t interleave_next_ = 0;  // deterministic round-robin cursor
   uint64_t total_allocs_ = 0;
+  uint64_t allocated_frames_ = 0;
 };
 
 }  // namespace tlbsim

@@ -1,10 +1,13 @@
 // Steady-state shootdowns never reach the heap allocator: every per-IPI,
 // per-wait, per-resume and per-shootdown structure (target lists, flush-info
 // batches, the call-single-queue, flag waiters, resume events, coroutine
-// frames) lives inline or in storage that keeps its capacity. Counted with a
-// replacement operator new, after a warm-up long enough for histogram
-// reservoirs (Histogram::kMaxSamples) and the engine's slot pool to reach
-// their final capacity.
+// frames) lives inline or in storage that keeps its capacity. The same holds
+// for the syscall cycles around them: a madvise(MADV_DONTNEED) zap with its
+// refaults (zapped leaves inline, frames recycled through flat allocator
+// tables) and an mprotect round trip. Counted with a replacement operator
+// new, after a warm-up long enough for histogram reservoirs
+// (Histogram::kMaxSamples) and the engine's slot pool to reach their final
+// capacity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,13 +45,20 @@ struct Params {
   bool all_opts;
 };
 
+// What the initiator repeats on cpu0.
+enum class Cycle {
+  kFlush,       // one FlushRange of the first page
+  kZapRefault,  // SysMadviseDontneed of every page, then a write to each
+  kMprotect,    // SysMprotect read-only, a read of each page, back to RW
+};
+
 class AllocTest : public ::testing::TestWithParam<Params> {};
 
-// Initiator on cpu0 flushing one page of an mm shared with three idle
-// responders (two APIC clusters) and one busy responder whose Execute()
-// chunks the IRQs preempt (it spins until the initiator is done). Returns
-// the allocations made by the measured shootdowns.
-uint64_t MeasuredAllocs(Params p, uint64_t* shootdowns) {
+// Initiator on cpu0 running `cycle` over `pages` pages of an mm shared with
+// three idle responders (two APIC clusters) and one busy responder whose
+// Execute() chunks the IRQs preempt (it spins until the initiator is done).
+// Returns the allocations made by the measured iterations.
+uint64_t MeasuredAllocs(Params p, Cycle cycle, uint64_t pages, uint64_t* ipis) {
   SystemConfig cfg = TestConfig(p.all_opts ? OptimizationSet::AllGeneral()
                                            : OptimizationSet::None());
   cfg.backend = p.backend;
@@ -68,30 +78,70 @@ uint64_t MeasuredAllocs(Params p, uint64_t* shootdowns) {
   sys.machine().engine().Spawn(0, Go([&]() -> Co<void> {
     Kernel& k = sys.kernel();
     SimCpu& cpu = sys.machine().cpu(0);
-    uint64_t addr = co_await k.SysMmap(*initiator, kPageSize4K, true, false);
-    co_await k.UserAccess(*initiator, addr, true);
+    uint64_t len = pages * kPageSize4K;
+    uint64_t addr = co_await k.SysMmap(*initiator, len, true, false);
+    for (uint64_t va = addr; va < addr + len; va += kPageSize4K) {
+      co_await k.UserAccess(*initiator, va, true);
+    }
     uint64_t before = 0;
     for (int i = 0; i < kWarmup + kMeasured; ++i) {
       if (i == kWarmup) {
         before = g_allocs;
       }
-      co_await k.backend().FlushRange(cpu, *proc->mm, addr, addr + kPageSize4K,
-                                      static_cast<int>(kPageShift), /*freed_tables=*/false);
+      switch (cycle) {
+        case Cycle::kFlush:
+          co_await k.backend().FlushRange(cpu, *proc->mm, addr, addr + kPageSize4K,
+                                          static_cast<int>(kPageShift), /*freed_tables=*/false);
+          break;
+        case Cycle::kZapRefault:
+          co_await k.SysMadviseDontneed(*initiator, addr, len);
+          for (uint64_t va = addr; va < addr + len; va += kPageSize4K) {
+            co_await k.UserAccess(*initiator, va, true);
+          }
+          break;
+        case Cycle::kMprotect:
+          co_await k.SysMprotect(*initiator, addr, len, /*writable=*/false);
+          for (uint64_t va = addr; va < addr + len; va += kPageSize4K) {
+            co_await k.UserAccess(*initiator, va, false);
+          }
+          co_await k.SysMprotect(*initiator, addr, len, /*writable=*/true);
+          break;
+      }
     }
     allocs = g_allocs - before;
     done = true;
   }));
   sys.machine().engine().Run();
   EXPECT_TRUE(done);
-  *shootdowns = sys.machine().apic().stats().ipis_sent;
+  *ipis = sys.machine().apic().stats().ipis_sent;
   return allocs;
 }
 
 TEST_P(AllocTest, SteadyStateShootdownsDoNotAllocate) {
   uint64_t ipis = 0;
-  uint64_t allocs = MeasuredAllocs(GetParam(), &ipis);
+  uint64_t allocs = MeasuredAllocs(GetParam(), Cycle::kFlush, 1, &ipis);
   EXPECT_GE(ipis, static_cast<uint64_t>(kWarmup + kMeasured));  // IPIs really went out
   EXPECT_EQ(allocs, 0u) << "over " << kMeasured << " shootdowns";
+}
+
+TEST_P(AllocTest, WarmZapRefaultDoesNotAllocate) {
+  for (uint64_t pages : {1, 10}) {
+    uint64_t ipis = 0;
+    uint64_t allocs = MeasuredAllocs(GetParam(), Cycle::kZapRefault, pages, &ipis);
+    EXPECT_GE(ipis, static_cast<uint64_t>(kWarmup + kMeasured));
+    EXPECT_EQ(allocs, 0u) << "over " << kMeasured << " madvise+refault cycles of " << pages
+                          << " pages";
+  }
+}
+
+TEST_P(AllocTest, WarmMprotectRoundTripDoesNotAllocate) {
+  for (uint64_t pages : {1, 10}) {
+    uint64_t ipis = 0;
+    uint64_t allocs = MeasuredAllocs(GetParam(), Cycle::kMprotect, pages, &ipis);
+    EXPECT_GE(ipis, static_cast<uint64_t>(kWarmup + kMeasured));
+    EXPECT_EQ(allocs, 0u) << "over " << kMeasured << " mprotect round trips of " << pages
+                          << " pages";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
